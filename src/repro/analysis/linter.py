@@ -373,11 +373,12 @@ def tree_fingerprint(paths: Sequence[PathLike]) -> Dict[str, object]:
     """Hash the linted tree + rule catalogue + verdict into one record.
 
     The fingerprint covers the byte content of every file linted and the
-    ids of the rules that ran, so two identical fingerprints mean "the
+    ids of the rules that ran — the per-file rules and every dataflow
+    engine's (VAB001..VAB022) — so two identical fingerprints mean "the
     same sources were judged by the same catalogue with the same
     outcome". Campaign manifests persist this as lint provenance.
     """
-    report = lint_paths(paths)
+    report = lint_paths(paths, units=True)
     digest = hashlib.sha256()
     file_hashes = []
     for file_path in discover_files(paths):

@@ -82,26 +82,6 @@ def point_wall_clocks(events: Sequence[dict]) -> Dict[int, float]:
     return walls
 
 
-def engine_line(metrics: dict) -> Optional[str]:
-    """How the campaign's trials were dispatched, from the run's counters.
-
-    Distinguishes trials that ran on the batched point engine from those
-    that took the per-trial fallback (custom ``receiver_factory`` or a
-    receiver the batched kernel does not support). None when the run
-    predates the dispatch counters.
-    """
-    counters = metrics.get("counters", {})
-    batched = int(counters.get("repro.sim.trials.batched_trials", 0))
-    fallback = int(counters.get("repro.sim.trials.fallback_trials", 0))
-    if not (batched or fallback):
-        return None
-    if fallback == 0:
-        return f"batched ({batched} trials)"
-    if batched == 0:
-        return f"per-trial fallback ({fallback} trials)"
-    return f"mixed ({batched} batched, {fallback} per-trial fallback)"
-
-
 def _table(headers: Sequence[str], rows: List[Sequence[str]]) -> List[str]:
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
@@ -134,12 +114,6 @@ def render_report(
         f"{len(manifest.results.get('points', []))} points "
         f"({rate:.1f} trials/s)"
     )
-    # How trials actually dispatched (the campaign's `engine` field
-    # below is the requested mode — "auto" says nothing about the path
-    # taken; this line does).
-    engine = engine_line(manifest.metrics)
-    if engine:
-        lines.append(f"dispatch   : {engine}")
     for key, value in sorted(manifest.campaign.items()):
         lines.append(f"{key:<11}: {value}")
     if manifest.events_path:

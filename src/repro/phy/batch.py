@@ -23,13 +23,12 @@ does not depend on its batch neighbours: demodulating a batch of 25 and
 demodulating each record in a batch of 1 produce bitwise-equal results.
 :meth:`repro.phy.receiver.ReaderReceiver.demodulate` exploits this by
 delegating standard-configuration records to this kernel with batch
-size 1 — the per-trial and batched campaign paths therefore share one
-implementation and agree bit-for-bit by construction.
+size 1, so there is one implementation of the standard chain.
 
 Receivers with rake combining, decision-feedback equalisation, or
 timing search enabled — and ``ReaderReceiver`` subclasses — are *not*
-supported here; campaigns fall back to the per-trial loop for them
-(see :meth:`BatchedReaderReceiver.supports`).
+supported here; the simulator demodulates their records one row at a
+time instead (see :meth:`BatchedReaderReceiver.supports`).
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ def batch_supported(receiver: object) -> bool:
 
     True only for a stock :class:`ReaderReceiver` (not a subclass — an
     override of any stage method would silently be skipped) with the
-    rake, equaliser, and timing-search extensions disabled. Campaigns
-    use this to decide between the batched point path and the per-trial
-    fallback.
+    rake, equaliser, and timing-search extensions disabled. The
+    simulator uses this to choose between batched and per-row
+    demodulation.
     """
     return (
         type(receiver) is ReaderReceiver

@@ -286,11 +286,8 @@ class ReaderReceiver:
 
         Standard configurations (no rake/equaliser/timing search, stock
         class) are delegated to the batched kernel in
-        :mod:`repro.phy.batch` with batch size 1: the per-record and
-        batched campaign paths share one implementation, which is what
-        makes the batched engine's bit-identity contract hold by
-        construction rather than by parallel maintenance of two DSP
-        chains.
+        :mod:`repro.phy.batch` with batch size 1, so the standard chain
+        has one implementation rather than two maintained in parallel.
         """
         from repro.phy.batch import BatchedReaderReceiver, batch_supported
 

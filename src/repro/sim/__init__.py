@@ -31,9 +31,7 @@ from repro.sim.cache import (
     channel_cache_info,
     clear_channel_cache,
     reader_node_response,
-    set_channel_cache_enabled,
 )
-from repro.sim.profiling import StageTimings, collect_stage_timings
 from repro.sim.sweep import sweep_range, sweep_angles, sweep_grid
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.confidence import (
@@ -67,9 +65,6 @@ __all__ = [
     "reader_node_response",
     "clear_channel_cache",
     "channel_cache_info",
-    "set_channel_cache_enabled",
-    "StageTimings",
-    "collect_stage_timings",
     "sweep_range",
     "sweep_angles",
     "sweep_grid",

@@ -14,26 +14,20 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import counter
 from repro.obs.probes import probe_invariant, probe_mode
 from repro.obs.spans import span
 from repro.phy.batch import batch_supported
 from repro.phy.frame import FrameConfig
 from repro.phy.receiver import ReaderReceiver
 from repro.sim.cache import reader_node_response
-from repro.sim.engine import TrialResult, simulate_point_batch, simulate_trial
+from repro.sim.engine import (
+    TrialResult,
+    simulate_point_batch,
+    simulate_trial,  # perfbench/tracing.py patches this name in this module
+)
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.scenario import Scenario
 from repro.vanatta.node import VanAttaNode
-
-BATCHED_TRIALS_COUNTER = counter(
-    "repro.sim.trials.batched_trials",
-    "trials run through the batched point engine",
-)
-FALLBACK_TRIALS_COUNTER = counter(
-    "repro.sim.trials.fallback_trials",
-    "trials run through the per-trial fallback loop",
-)
 
 
 def _probe_trial_accounting(results: Sequence[TrialResult]) -> None:
@@ -76,15 +70,6 @@ class TrialCampaign:
         receiver_factory: builds the reader receive chain per scenario;
             None uses the engine's default (lets studies switch on the
             equaliser, rake, or custom thresholds).
-        engine: trial execution engine. ``"auto"`` (default) runs each
-            point as one batched ``(trials, samples)`` computation when
-            the receive chain supports it
-            (:func:`repro.phy.batch.batch_supported`) and no custom
-            ``receiver_factory`` is set, falling back to the per-trial
-            loop otherwise; ``"batched"`` requires the batched path
-            (raises if the receiver cannot run on it); ``"per-trial"``
-            forces the scalar loop. Both engines are bit-identical, so
-            the choice is purely a speed/compatibility knob.
     """
 
     trials_per_point: int = 25
@@ -94,28 +79,6 @@ class TrialCampaign:
     node_factory: Callable[[], VanAttaNode] = VanAttaNode
     si_suppression_db: Optional[float] = 130.0
     receiver_factory: Optional[Callable[[Scenario], "object"]] = None
-    engine: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("auto", "batched", "per-trial"):
-            raise ValueError(
-                "engine must be 'auto', 'batched', or 'per-trial'"
-            )
-
-    def uses_batched_engine(self) -> bool:
-        """Whether points will (likely) run on the batched engine.
-
-        A scheduling hint for :mod:`repro.sim.parallel` — batched points
-        should be sharded whole, not split into per-trial chunks. For
-        ``engine="auto"`` this predicts from the campaign alone (custom
-        ``receiver_factory`` means per-trial); the authoritative check
-        against the constructed receiver happens in :meth:`run_trials`.
-        """
-        if self.engine == "per-trial":
-            return False
-        if self.engine == "batched":
-            return True
-        return self.receiver_factory is None
 
     def trial_seeds(self, point_index: int) -> List[np.random.SeedSequence]:
         """The spawned per-trial seed sequences for one operating point.
@@ -138,9 +101,11 @@ class TrialCampaign:
         """Run a contiguous slice of a point's trials.
 
         Per-point invariants (the node, the receive chain, the traced
-        multipath response) are constructed once here and passed down:
-        the seed engine rebuilt all three inside every trial, which is
-        where most of a campaign's non-noise time went.
+        multipath response) are constructed once here and passed down.
+        Receive chains the batched demodulator supports
+        (:func:`repro.phy.batch.batch_supported`) run the slice as one
+        ``(trials, samples)`` batch; any other chain runs it trial by
+        trial. Both give the same results.
         """
         # Generator derivation is hoisted out of the traced per-trial
         # loop: every trial's stream exists before the first trial runs,
@@ -157,68 +122,37 @@ class TrialCampaign:
         )
         response = reader_node_response(scenario)
 
-        if self.engine == "batched" and not batch_supported(receiver):
-            raise ValueError(
-                "engine='batched' needs a receive chain the batched "
-                "kernel supports (stock ReaderReceiver, no rake/"
-                "equaliser/timing search); use engine='auto' to fall "
-                "back automatically"
-            )
-        use_batched = self.engine == "batched" or (
-            self.engine == "auto"
-            and self.receiver_factory is None
-            and batch_supported(receiver)
+        # Each trial's stream draws its payload first, then the engine
+        # advances it through the noise draws.
+        payloads = [
+            bytes(rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8))
+            for rng in generators
+        ]
+        kwargs = dict(
+            node=node,
+            frame_config=self.frame_config,
+            receiver=receiver,
+            si_suppression_db=self.si_suppression_db,
+            response=response,
         )
-        if use_batched:
-            # Whole-point batched path: payloads draw first from each
-            # trial's stream (same order as the loop below), then the
-            # batch engine advances every stream through its noise
-            # draws.
+        if batch_supported(receiver):
             with span("batch"):
-                payloads = [
-                    bytes(
-                        rng.integers(
-                            0, 256, size=self.payload_bytes, dtype=np.uint8
+                results = simulate_point_batch(
+                    scenario, payloads, generators, **kwargs
+                )
+        else:
+            # Rake/equaliser/timing-search chains and receiver subclasses
+            # demodulate row by row anyway, so they run trial by trial:
+            # one `trial` span each, and the per-trial layer that
+            # perfbench/tracing.py traces.
+            results = []
+            for payload, rng in zip(payloads, generators):
+                with span("trial"):
+                    results.append(
+                        simulate_trial(
+                            scenario, payload=payload, rng=rng, **kwargs
                         )
                     )
-                    for rng in generators
-                ]
-                results = simulate_point_batch(
-                    scenario,
-                    payloads,
-                    generators,
-                    node=node,
-                    frame_config=self.frame_config,
-                    receiver=receiver,
-                    si_suppression_db=self.si_suppression_db,
-                    response=response,
-                )
-            BATCHED_TRIALS_COUNTER.inc(len(results))
-            _probe_trial_accounting(results)
-            return results
-
-        # Per-trial fallback: custom receive chains (factories often
-        # enable rake/equaliser extensions or subclass the receiver) and
-        # campaigns pinned to engine="per-trial".
-        FALLBACK_TRIALS_COUNTER.inc(len(generators))
-        results: List[TrialResult] = []
-        for rng in generators:
-            with span("trial"):
-                payload = bytes(
-                    rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8)
-                )
-                results.append(
-                    simulate_trial(
-                        scenario,
-                        node=node,
-                        payload=payload,
-                        rng=rng,
-                        frame_config=self.frame_config,
-                        receiver=receiver,
-                        si_suppression_db=self.si_suppression_db,
-                        response=response,
-                    )
-                )
         _probe_trial_accounting(results)
         return results
 

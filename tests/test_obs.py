@@ -43,7 +43,6 @@ from repro.sim.export import (
     save_manifest,
 )
 from repro.sim.parallel import run_observed_campaign
-from repro.sim.profiling import StageTimings, collect_stage_timings
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
 
@@ -129,24 +128,27 @@ class TestSpans:
         assert clone._stack == []
 
     def test_stage_timings_facade_still_aggregates(self):
-        with collect_stage_timings() as timings:
+        # Per-stage timings are the live tracer's leaf totals.
+        with collect_spans() as tracer:
             with span("channel"):
                 time.sleep(0.001)
             with span("channel"):
                 pass
-        report = timings.as_dict()
-        assert report["channel"]["count"] == 2
-        assert report["channel"]["total_s"] > 0.0
+        totals, counts = tracer.leaf_totals()
+        assert counts["channel"] == 2
+        assert totals["channel"] > 0.0
 
     def test_stage_timings_merge_tracer_uses_leaves(self):
-        tracer = SpanTracer()
-        tracer.add(("point", "trial", "demod"), 0.5)
-        tracer.add(("trial", "demod"), 0.5)
-        timings = StageTimings()
-        timings.merge_tracer(tracer)
-        report = timings.as_dict()
-        assert report["demod"]["count"] == 2
-        assert report["demod"]["total_s"] == pytest.approx(1.0)
+        # A tracer merged from another (e.g. a worker's) still collapses
+        # differing roots onto the leaf stage.
+        worker = SpanTracer()
+        worker.add(("point", "trial", "demod"), 0.5)
+        worker.add(("trial", "demod"), 0.5)
+        merged = SpanTracer()
+        merged.merge(worker)
+        totals, counts = merged.leaf_totals()
+        assert counts["demod"] == 2
+        assert totals["demod"] == pytest.approx(1.0)
 
 
 class TestMetrics:
@@ -298,30 +300,21 @@ class TestManifestRoundTrip:
         assert "--- metrics ---" in report
         assert "demod" in report
         assert "repro.phy.receiver.demods" in report
+        # One pipeline: no engine mode or dispatch split to report.
+        assert "engine" not in report and "dispatch" not in report
         # Two point rows: 50 m and 330 m.
         assert "\n0      50" in report
         assert "\n1      330" in report
 
     def test_report_names_the_engine(self, observed_run):
-        # Stock receivers under the auto engine: all trials batched,
-        # and the report says so.
+        # Stock receivers run on the batched point kernel: the span tree
+        # shows one batch per point and no per-trial spans.
         _, _, manifest = observed_run
         report = render_report(manifest)
-        assert "dispatch   : batched (6 trials)" in report
-
-    def test_engine_line_variants(self):
-        from repro.obs.report import engine_line
-
-        batched = "repro.sim.trials.batched_trials"
-        fallback = "repro.sim.trials.fallback_trials"
-        assert engine_line({"counters": {}}) is None
-        assert engine_line({"counters": {batched: 8}}) == "batched (8 trials)"
-        assert engine_line(
-            {"counters": {fallback: 3}}
-        ) == "per-trial fallback (3 trials)"
-        assert engine_line(
-            {"counters": {batched: 5, fallback: 2}}
-        ) == "mixed (5 batched, 2 per-trial fallback)"
+        tree = report.split("--- span tree ---")[1].split("\n\n")[0]
+        assert "\n  batch " in tree
+        assert "trial" not in tree
+        assert "repro.phy.batch.batches          2" in report
 
     def test_event_log_is_lazy(self, tmp_path):
         log = EventLog(tmp_path / "never.jsonl")

@@ -154,7 +154,7 @@ class TestFaultInjection:
         monkeypatch.setattr(engine_module, "colored_noise_batch", poisoned)
         with probes("raise"):
             with pytest.raises(ProbeViolation) as err:
-                run_one_point(tiny_campaign(engine="batched"))
+                run_one_point(tiny_campaign())
         assert err.value.probe == "sim.engine.record"
         assert err.value.stage == "noise"
 
@@ -172,22 +172,25 @@ class TestFaultInjection:
         monkeypatch.setattr(VanAttaNode, "reflect", poisoned)
         with probes("raise"):
             with pytest.raises(ProbeViolation) as err:
-                run_one_point(tiny_campaign(engine="batched"))
+                run_one_point(tiny_campaign())
         assert err.value.probe == "sim.engine.record"
         assert err.value.stage == "reflect"
 
     def test_scalar_engine_catches_nan_too(self, monkeypatch):
-        real = engine_module.colored_noise
+        real = engine_module.colored_noise_batch
 
         def poisoned(*args, **kwargs):
             noise = real(*args, **kwargs)
-            noise[len(noise) // 2] = np.nan
+            noise[..., noise.shape[-1] // 2] = np.nan
             return noise
 
-        monkeypatch.setattr(engine_module, "colored_noise", poisoned)
+        monkeypatch.setattr(engine_module, "colored_noise_batch", poisoned)
         with probes("raise"):
             with pytest.raises(ProbeViolation) as err:
-                run_one_point(tiny_campaign(engine="per-trial"))
+                engine_module.simulate_trial(
+                    Scenario.river(range_m=60.0),
+                    rng=np.random.default_rng(21),
+                )
         assert err.value.stage == "noise"
 
     def test_count_mode_surfaces_the_fault_as_metrics(self, monkeypatch):
@@ -201,7 +204,7 @@ class TestFaultInjection:
         monkeypatch.setattr(engine_module, "colored_noise_batch", poisoned)
         registry = MetricsRegistry()
         with use_registry(registry), probes("count"):
-            run_one_point(tiny_campaign(engine="batched"))
+            run_one_point(tiny_campaign())
         counters = registry.as_dict()["counters"]
         assert counters["repro.obs.probes.violations"] >= 1
         assert (

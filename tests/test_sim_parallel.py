@@ -16,9 +16,9 @@ from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
 from repro.dsp import noisegen
 from repro.obs import MetricsRegistry, SpanTracer
+from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
 from repro.sim.parallel import run_campaign_parallel, split_evenly
-from repro.sim.profiling import StageTimings
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign, run_campaign
@@ -27,6 +27,10 @@ from repro.vanatta.node import VanAttaNode
 ROOT = Path(__file__).resolve().parent.parent
 
 RANGES = [50.0, 330.0]
+
+
+def rake_receiver(scenario):
+    return ReaderReceiver.for_scenario(scenario, rake_taps=2)
 
 
 class TestSplitEvenly:
@@ -88,16 +92,16 @@ class TestParallelDeterminism:
 
     def test_stage_timings_cover_the_engine_stages(self):
         scenarios = sweep_range(Scenario.river(), [50.0])
-        timings = StageTimings()
+        tracer = SpanTracer()
         run_campaign_parallel(
             scenarios, TrialCampaign(trials_per_point=2, seed=1),
-            workers=1, timings=timings,
+            workers=1, tracer=tracer,
         )
-        report = timings.as_dict()
-        # Batched engine: stages run once per point batch, not per trial.
+        totals, counts = tracer.leaf_totals()
+        # Stages run once per point batch, not per trial.
         for stage in ("batch", "channel", "reflect", "noise", "demod"):
-            assert report[stage]["count"] >= 1
-            assert report[stage]["total_s"] >= 0.0
+            assert counts[stage] >= 1
+            assert totals[stage] >= 0.0
 
     def test_telemetry_does_not_perturb_results(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
@@ -105,10 +109,9 @@ class TestParallelDeterminism:
         bare = run_campaign(scenarios, campaign, label="obs")
         tracer = SpanTracer()
         metrics = MetricsRegistry()
-        timings = StageTimings()
         observed = run_campaign_parallel(
             scenarios, campaign, label="obs", workers=4,
-            tracer=tracer, metrics=metrics, timings=timings,
+            tracer=tracer, metrics=metrics,
         )
         # Full telemetry on, fanned out over 4 workers: still identical.
         assert observed.points == bare.points
@@ -137,9 +140,11 @@ class TestParallelDeterminism:
         assert serial_counts["demod"] == 2
 
     def test_per_trial_engine_still_emits_trial_spans(self):
+        # Receivers the batched demodulator cannot run (here: rake)
+        # run trial by trial, one `trial` span each.
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(
-            trials_per_point=6, seed=17, engine="per-trial"
+            trials_per_point=6, seed=17, receiver_factory=rake_receiver
         )
         tracer = SpanTracer()
         run_campaign_parallel(scenarios, campaign, workers=1, tracer=tracer)
@@ -201,14 +206,14 @@ class TestChannelCache:
         assert retraced is not first
 
     def test_disabled_cache_bypasses_storage(self):
+        # Tracing through AcousticChannel.between directly (no cache
+        # in the call path) leaves the cache storage untouched.
         scenario = Scenario.river().at_range(90.0)
         cache.clear_channel_cache()
-        old = cache.set_channel_cache_enabled(False)
-        try:
-            cache.reader_node_response(scenario)
-            assert cache.channel_cache_info()[:3] == (0, 0, 0)
-        finally:
-            cache.set_channel_cache_enabled(old)
+        scenario.channel().between(
+            scenario.reader.position, scenario.node.position
+        )
+        assert cache.channel_cache_info()[:3] == (0, 0, 0)
 
 
 class TestNoiseShapingCache:
@@ -226,15 +231,15 @@ class TestNoiseShapingCache:
         cached = noisegen.colored_noise(
             n, fs, conditions.psd_db, carrier, np.random.default_rng(3)
         )
-        old = noisegen.set_pointwise_psd(True)
-        old_cache = noisegen.set_noise_cache_enabled(False)
-        try:
-            pointwise = noisegen.colored_noise(
-                n, fs, conditions.psd_db, carrier, np.random.default_rng(3)
-            )
-        finally:
-            noisegen.set_pointwise_psd(old)
-            noisegen.set_noise_cache_enabled(old_cache)
+
+        def scalar_only_psd_db(frequency_hz):
+            # Rejects arrays, so a fresh shaping filter is built through
+            # the per-frequency Python fallback.
+            return total_noise_psd_db(float(frequency_hz), conditions)
+
+        pointwise = noisegen.colored_noise(
+            n, fs, scalar_only_psd_db, carrier, np.random.default_rng(3)
+        )
         np.testing.assert_allclose(cached, pointwise, rtol=1e-10)
 
     def test_shaping_filter_is_reused_across_equal_conditions(self):
@@ -265,15 +270,10 @@ class TestBenchSmoke:
         )
         assert record["bench"] == "BENCH_1"
         assert record["parallel_bit_identical"] is True
-        assert record["batched_bit_identical"] is True
+        assert "batched_bit_identical" not in record
         assert record["batched_engine_version"] >= 1
         assert record["fastfield_engine_version"] >= 1
-        for arm in (
-            "seed_baseline",
-            "serial_fallback",
-            "optimized_serial",
-            "optimized_parallel",
-        ):
+        for arm in ("optimized_serial", "optimized_parallel"):
             assert record[arm]["trials"] == 2
             assert record[arm]["trials_per_sec"] > 0
         assert record["optimized_parallel"]["workers"] == 2
@@ -282,12 +282,11 @@ class TestBenchSmoke:
             assert record[arm]["elements"] == 16
             assert record[arm]["angles"] == 9
             assert record[arm]["trials_per_sec"] > 0
-        assert set(record["speedup"]) == {
-            "serial_over_baseline",
-            "parallel_over_baseline",
-            "batched_over_fallback",
-            "arrayfactor_over_loop",
-        }
+        assert set(record["speedup"]) == {"arrayfactor_over_loop"}
+        assert "seed_baseline" not in record
+        assert "serial_fallback" not in record
+        for stage in ("batch", "channel", "reflect", "noise", "demod"):
+            assert record["stage_timings"][stage]["count"] >= 1
         for stage in ("batch", "channel", "reflect", "noise", "demod"):
             assert record["stage_timings"][stage]["count"] >= 1
 

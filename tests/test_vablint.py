@@ -193,7 +193,16 @@ def test_tree_fingerprint_is_deterministic_and_flags_dirt():
     assert clean["fingerprint"] == again["fingerprint"]
     assert clean["clean"] and not dirty["clean"]
     assert clean["fingerprint"] != dirty["fingerprint"]
-    assert clean["rules"] == list(ALL_RULES)
+    # Provenance attests every engine, not just the per-file rules: an
+    # effects-engine finding dirties the fingerprint too.
+    assert clean["rules"][: len(ALL_RULES)] == list(ALL_RULES)
+    assert {"VAB006", "VAB011", "VAB017"} <= set(clean["rules"])
+    assert len(clean["rules"]) == 22
+    vab017 = FIXTURES / "vab017_bad.py"
+    effects_dirty = tree_fingerprint([vab017])
+    assert not effects_dirty["clean"]
+    assert effects_dirty["findings"] > len(lint_paths([vab017]).findings)
+    assert effects_dirty["fingerprint"] != clean["fingerprint"]
 
 
 def test_render_json_schema():

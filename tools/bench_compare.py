@@ -37,11 +37,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GATED_ARMS = (
     "optimized_serial", "optimized_parallel", "arrayfactor", "lint_warm"
 )
-"""Arms whose regressions fail the check. ``seed_baseline`` is an
-emulation of historical code, ``serial_fallback`` is the pinned
-per-trial path kept for exotic receiver configs, and
-``arrayfactor_loop`` is the per-pair reference loop the batched
-array-factor kernel is scored against — informational only."""
+"""Arms whose regressions fail the check. ``seed_baseline`` (an
+emulation of the seed code) and ``serial_fallback`` (the retired
+per-trial engine) appear only in BENCH_1–5, and ``arrayfactor_loop`` is
+the per-pair reference loop the batched array-factor kernel is scored
+against — informational only."""
 
 INFO_ARMS = ("seed_baseline", "serial_fallback", "arrayfactor_loop")
 

@@ -1,20 +1,17 @@
 """Perf-regression harness for the Monte-Carlo campaign engine.
 
-Measures trials/sec of four execution arms on the same seeded campaign
+Measures trials/sec of two execution arms on the same seeded campaign
 (a river BER-vs-range sweep, the shape of the paper's headline figure):
 
-* ``seed_baseline`` — the seed repo's serial path, emulated by disabling
-  the channel-response and noise-shaping caches, forcing per-frequency
-  Wenz evaluation, and rebuilding the receiver per trial. (The baseline
-  still gets this PR's O(n) DC blocker and memoized preamble templates,
-  so reported speedups are *conservative* relative to the true seed.)
-* ``serial_fallback`` — the cached engine pinned to the per-trial loop
-  (``engine="per-trial"``), one process. This is the path custom
-  ``receiver_factory`` campaigns take.
-* ``optimized_serial`` — the cached engine on the batched point path
-  (one ``(trials, samples)`` block per point), one process.
-* ``optimized_parallel`` — the batched engine sharded by point over a
+* ``optimized_serial`` — the simulator (one ``(trials, samples)`` block
+  per point), one process.
+* ``optimized_parallel`` — the same campaign sharded by point over a
   ``ProcessPoolExecutor``.
+
+The seed repo's throughput is frozen as the ``seed_baseline`` arm of
+``BENCH_1.json`` (with the retired ``serial_fallback`` arm it appears
+only in BENCH_1–5); later records compare against their predecessors
+through ``tools/bench_compare.py``.
 
 A ``lint_warm`` arm (:func:`run_lint_warm_bench`) times the
 three-engine ``vablint`` run over ``src/repro`` served entirely from
@@ -27,14 +24,14 @@ A fifth pair of arms benchmarks the Van Atta array-factor kernel
 1024-element array over 181 angles, with a >=50x speedup floor and a
 batched-vs-loop parity check enforced on full runs.
 
-Also records per-stage wall-clock (channel / reflect / noise / demod)
-via :mod:`repro.sim.profiling`, the run's metrics-registry snapshot
-(cache hits/misses, receiver failures, batch sizes — see
-:mod:`repro.obs.metrics`), and verifies two bit-identity contracts —
-parallel == serial, and batched == per-trial fallback — then writes
-everything (stamped with the batched kernel's
-``batched_engine_version``) to the next ``BENCH_<n>.json`` — the files
-``tools/bench_compare.py`` diffs to machine-check the perf trajectory.
+Also records per-stage wall-clock (channel / reflect / noise / demod,
+the leaf totals of a :class:`repro.obs.spans.SpanTracer`), the run's
+metrics-registry snapshot (cache hits/misses, receiver failures, batch
+sizes — see :mod:`repro.obs.metrics`), and verifies the parallel ==
+serial bit-identity contract, then writes everything (stamped with the
+batched kernel's ``batched_engine_version``) to the next
+``BENCH_<n>.json`` — the files ``tools/bench_compare.py`` diffs to
+machine-check the perf trajectory.
 
 Run from the repository root::
 
@@ -48,14 +45,12 @@ directly with tiny N so executor regressions surface in tier-1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -64,7 +59,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import tree_fingerprint
-from repro.dsp import noisegen
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import probe_mode
 from repro.phy.batch import BATCHED_ENGINE_VERSION
@@ -74,10 +68,8 @@ from repro.vanatta.fastfield import (
     ArrayFactorEngine,
     reference_response,
 )
-from repro.sim import cache
-from repro.sim.engine import simulate_trial
+from repro.obs.spans import SpanTracer
 from repro.sim.parallel import run_campaign_parallel
-from repro.sim.profiling import StageTimings
 from repro.sim.scenario import Scenario
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign, run_campaign
@@ -127,53 +119,17 @@ def lint_gate(allow_dirty: bool) -> Optional[dict]:
     return record
 
 
-@contextmanager
-def seed_baseline_mode() -> Iterator[None]:
-    """Disable every campaign-level cache (emulate the seed hot path)."""
-    old_pointwise = noisegen.set_pointwise_psd(True)
-    old_noise_cache = noisegen.set_noise_cache_enabled(False)
-    old_channel_cache = cache.set_channel_cache_enabled(False)
-    noisegen.clear_noise_cache()
-    cache.clear_channel_cache()
-    try:
-        yield
-    finally:
-        noisegen.set_pointwise_psd(old_pointwise)
-        noisegen.set_noise_cache_enabled(old_noise_cache)
-        cache.set_channel_cache_enabled(old_channel_cache)
-
-
-def run_baseline(
-    scenarios: Sequence[Scenario], campaign: TrialCampaign
-) -> int:
-    """The seed's per-trial loop: nothing hoisted, nothing cached.
-
-    Mirrors the seed ``TrialCampaign.run_point``: the node is built once
-    per point but the receiver and the channel response are recomputed
-    inside every trial, and the Wenz PSD is evaluated per FFT bin in
-    Python.
-    """
-    n = 0
-    with seed_baseline_mode():
-        for i, scenario in enumerate(scenarios):
-            children = campaign.trial_seeds(i)
-            node = campaign.node_factory()
-            for child in children:
-                rng = np.random.default_rng(child)
-                payload = bytes(
-                    rng.integers(0, 256, size=campaign.payload_bytes, dtype=np.uint8)
-                )
-                simulate_trial(
-                    scenario,
-                    node=node,
-                    payload=payload,
-                    rng=rng,
-                    frame_config=campaign.frame_config,
-                    receiver=None,
-                    si_suppression_db=campaign.si_suppression_db,
-                )
-                n += 1
-    return n
+def stage_timings(tracer: SpanTracer) -> dict:
+    """Per-stage view of a tracer: {stage: {total_s, count, mean_ms}}."""
+    totals, counts = tracer.leaf_totals()
+    return {
+        name: {
+            "total_s": round(totals[name], 6),
+            "count": counts[name],
+            "mean_ms": round(1e3 * totals[name] / max(counts[name], 1), 6),
+        }
+        for name in sorted(totals)
+    }
 
 
 def _arm(elapsed_s: float, trials: int) -> dict:
@@ -307,34 +263,13 @@ def run_bench(
 
     # Warm imports / BLAS / code paths so no arm pays first-call costs.
     run_campaign(scenarios[:1], TrialCampaign(trials_per_point=2, seed=seed))
-    run_baseline(scenarios[:1], TrialCampaign(trials_per_point=2, seed=seed))
 
-    t0 = time.perf_counter()
-    n_base = run_baseline(scenarios, campaign)
-    baseline = _arm(time.perf_counter() - t0, n_base)
-
-    # Per-trial fallback arm: the cached engine with the batched path
-    # pinned off — the reference both for the batched speedup and for
-    # the batched == per-trial bit-identity gate.
-    fallback_campaign = dataclasses.replace(campaign, engine="per-trial")
-    cache.clear_channel_cache()
-    noisegen.clear_noise_cache()
-    run_campaign(scenarios[:1], dataclasses.replace(
-        fallback_campaign, trials_per_point=2))
-    t0 = time.perf_counter()
-    fallback = run_campaign(
-        scenarios, fallback_campaign, label="bench-fallback"
-    )
-    fallback_arm = _arm(time.perf_counter() - t0, fallback.total_trials)
-
-    cache.clear_channel_cache()
-    noisegen.clear_noise_cache()
-    serial_timings = StageTimings()
+    serial_tracer = SpanTracer()
     serial_metrics = MetricsRegistry()
     t0 = time.perf_counter()
     serial = run_campaign_parallel(
         scenarios, campaign, label="bench-serial", workers=1,
-        timings=serial_timings, metrics=serial_metrics,
+        tracer=serial_tracer, metrics=serial_metrics,
     )
     serial_arm = _arm(time.perf_counter() - t0, serial.total_trials)
 
@@ -359,9 +294,6 @@ def run_bench(
     )
 
     identical = serial.points == parallel.points
-    batched_identical = serial.points == fallback.points
-    base_rate = baseline["trials_per_sec"] or 1e-9
-    fallback_rate = fallback_arm["trials_per_sec"] or 1e-9
     metrics = serial_metrics.as_dict()
     counters = metrics["counters"]
     return {
@@ -381,8 +313,6 @@ def run_bench(
             # trajectory records what they were set to.
             "probes": probe_mode(),
         },
-        "seed_baseline": baseline,
-        "serial_fallback": fallback_arm,
         "optimized_serial": serial_arm,
         "optimized_parallel": parallel_arm,
         "arrayfactor": arrayfactor["arrayfactor"],
@@ -390,17 +320,8 @@ def run_bench(
         "arrayfactor_parity": arrayfactor["arrayfactor_parity"],
         "speedup": {
             "arrayfactor_over_loop": arrayfactor["arrayfactor_speedup"],
-            "serial_over_baseline": round(
-                (serial_arm["trials_per_sec"] or 0.0) / base_rate, 2
-            ),
-            "parallel_over_baseline": round(
-                (parallel_arm["trials_per_sec"] or 0.0) / base_rate, 2
-            ),
-            "batched_over_fallback": round(
-                (serial_arm["trials_per_sec"] or 0.0) / fallback_rate, 2
-            ),
         },
-        "stage_timings": serial_timings.as_dict(),
+        "stage_timings": stage_timings(serial_tracer),
         "metrics": metrics,
         "cache": {
             "hits": counters.get("repro.sim.cache.hits", 0),
@@ -408,7 +329,6 @@ def run_bench(
             "evictions": counters.get("repro.sim.cache.evictions", 0),
         },
         "parallel_bit_identical": identical,
-        "batched_bit_identical": batched_identical,
     }
 
 
@@ -479,12 +399,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {args.out}")
     if not record["parallel_bit_identical"]:
         print("ERROR: parallel campaign diverged from serial", file=sys.stderr)
-        return 1
-    if not record["batched_bit_identical"]:
-        print(
-            "ERROR: batched campaign diverged from the per-trial fallback",
-            file=sys.stderr,
-        )
         return 1
     if not record["arrayfactor_parity"]:
         print(

@@ -27,7 +27,7 @@ result = run_campaign_parallel(
 Results are **bit-identical** to the serial `run_campaign` for the same
 seed: per-trial entropy comes from `TrialCampaign.trial_seeds`
 (`SeedSequence((seed, point)).spawn(n)`) regardless of which worker runs
-a trial, and chunks are re-assembled in trial order before aggregation.
+a trial, and points are re-assembled in order before aggregation.
 `workers=1` runs serially in-process; campaigns carrying non-picklable
 factories fall back to the same path automatically.
 
@@ -36,19 +36,17 @@ invisible in the returned numbers:
 
 - `repro.sim.cache` memoizes traced channel responses per deployment
   geometry (`reader_node_response`, `channel_cache_info`,
-  `clear_channel_cache`, `set_channel_cache_enabled`).
+  `clear_channel_cache`).
 - `repro.dsp.noisegen` caches the Wenz PSD shaping filter per
-  `(n, fs, conditions, carrier)` (`clear_noise_cache`,
-  `set_noise_cache_enabled`, `set_pointwise_psd`).
+  `(n, fs, conditions, carrier)` (`clear_noise_cache`).
 
 Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
 
 Per-stage wall-clock (channel / reflect / noise / demod) is available
-via `collect_stage_timings` or the `timings=` argument. The perf
-harness `tools/bench_perf.py` times the seed-style serial path against
-the cached serial and parallel engines and writes the next
-`BENCH_<n>.json` (arms `seed_baseline` / `optimized_serial` /
+via the `tracer=` argument and `SpanTracer.leaf_totals()`. The perf
+harness `tools/bench_perf.py` times the serial and parallel runners
+and writes the next `BENCH_<n>.json` (arms `optimized_serial` /
 `optimized_parallel`, each with `elapsed_s`, `trials`,
 `trials_per_sec`, plus `speedup`, `stage_timings`, the run's `metrics`
 snapshot with a `cache` hit/miss summary, and a
@@ -66,8 +64,9 @@ parallel runner:
 
 - **Spans** — `span(name)` brackets nested work; `collect_spans`
   installs a `SpanTracer` that aggregates `path -> (total_s, count)`.
-  The engine emits `campaign > point > trial >
-  channel/reflect/noise/demod`.
+  The engine emits `campaign > point > batch >
+  channel/reflect/noise/demod` (`trial` in place of `batch` for
+  receivers that demodulate row by row).
 - **Metrics** — `counter` / `gauge` / `histogram` return named
   instrument handles writing into the active `MetricsRegistry`
   (swap one in with `use_registry`). Engine instruments:
