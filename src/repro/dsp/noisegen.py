@@ -5,11 +5,17 @@ Wenz level computed by :mod:`repro.acoustics.noise`, with approximately the
 right spectral tilt across the receiver band. Noise is generated in the
 frequency domain: complex white Gaussian bins shaped by the target PSD.
 
-The PSD shaping amplitude depends only on ``(n, fs, carrier_hz, psd)`` —
-it is identical for every trial of a Monte-Carlo point — so it is
-memoized here (see :func:`clear_noise_cache`). Campaigns that used to
-spend ~80% of each trial re-evaluating the Wenz curves per FFT bin now
-pay for the shaping filter once per operating point.
+The PSD shaping amplitude depends only on ``(n, fs, carrier_hz, psd)``
+and the optional gain and white floor — it is identical for every trial
+of a Monte-Carlo point — so it is memoized here (see
+:func:`clear_noise_cache`). Campaigns that used to spend ~80% of each
+trial re-evaluating the Wenz curves per FFT bin now pay for the shaping
+filter once per operating point.
+
+A white floor added to shaped noise is folded into the same filter
+rather than drawn separately: both are circular Gaussian processes with
+circulant spectra, so one draw shaped by ``sqrt((gain*A)^2 + floor/2)``
+has exactly the second-order statistics of the sum, at half the normals.
 """
 
 from __future__ import annotations
@@ -105,13 +111,25 @@ def _evaluate_psd_db(
 
 
 def _shaping_amplitude(
-    n: int, fs: float, psd_db_fn: Callable[[float], float], carrier_hz: float
+    n: int,
+    fs: float,
+    psd_db_fn: Callable[[float], float],
+    carrier_hz: float,
+    gain: float = 1.0,
+    floor_power: float = 0.0,
 ) -> np.ndarray:
-    """Per-bin amplitude scale sqrt(PSD * fs / 2), memoized when possible."""
+    """Per-bin amplitude ``sqrt((gain*A)^2 + floor_power/2)``, memoized.
+
+    ``A = sqrt(PSD * fs / 2)`` shapes unit complex bins to the PSD; a
+    flat ``floor_power/2`` per bin adds white noise of mean power
+    ``floor_power``. At ``gain=1`` and no floor the amplitude is ``A``
+    itself, bit for bit.
+    """
     key = None
     fn_key = _psd_fn_cache_key(psd_db_fn)
     if fn_key is not None:
-        key = (fn_key, n, float(fs), float(carrier_hz))
+        key = (fn_key, n, float(fs), float(carrier_hz), float(gain),
+               float(floor_power))
         cached = _SHAPE_CACHE.get(key)
         if cached is not None:
             _SHAPE_CACHE.move_to_end(key)
@@ -119,6 +137,8 @@ def _shaping_amplitude(
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
     psd_linear = 10.0 ** (_evaluate_psd_db(psd_db_fn, carrier_hz + freqs) / 10.0)
     amplitude = np.sqrt(psd_linear * fs / 2.0)
+    if gain != 1.0 or floor_power != 0.0:
+        amplitude = np.sqrt((gain * amplitude) ** 2 + floor_power / 2.0)
     amplitude.setflags(write=False)
     if key is not None:
         _SHAPE_CACHE[key] = amplitude
@@ -172,9 +192,9 @@ def white_noise_batch(
     """One row of complex white noise per generator, shape ``(len(rngs), n)``.
 
     Row ``t`` is drawn from ``rngs[t]`` with the exact draw sequence of
-    :func:`white_noise` — the batched campaign engine's bit-identity
-    contract rests on each trial's stream seeing the same requests in the
-    same order as the per-trial path.
+    :func:`white_noise`. The simulator folds its white floor into
+    :func:`colored_noise_batch` instead; this stays as the reference for
+    that fold.
     """
     if power < 0:
         raise ValueError("power must be non-negative")
@@ -191,21 +211,48 @@ def colored_noise_batch(
     psd_db_fn: Callable[[float], float],
     carrier_hz: float,
     rngs: Sequence[np.random.Generator],
+    gain: float = 1.0,
+    floor_power: float = 0.0,
 ) -> np.ndarray:
     """One row of shaped noise per generator, shape ``(len(rngs), n)``.
 
-    The Gaussian bins are drawn per generator (preserving each trial's
-    stream order — see :func:`white_noise_batch`), but the PSD shaping
-    and the inverse FFT run once over the whole ``(trials, n)`` block.
-    Each row is bit-identical to :func:`colored_noise` called with the
-    same generator: the shaping multiply is elementwise and a batched
-    ``ifft`` along the last axis transforms rows independently.
+    Each generator makes exactly one request, ``standard_normal`` of
+    ``2n`` (the real parts of the bins, then the imaginary parts), so a
+    row depends only on its own stream: batch, chunk and worker splits
+    cannot move a bit. The PSD shaping and the inverse FFT then run once
+    over the whole ``(trials, n)`` block; both act on rows independently,
+    so at the defaults each row is bit-identical to :func:`colored_noise`
+    with the same generator.
+
+    Args:
+        n: samples per row.
+        fs: sample rate (simulated bandwidth), Hz.
+        psd_db_fn: absolute frequency (Hz) to PSD in dB, as for
+            :func:`colored_noise`.
+        carrier_hz: centre frequency the baseband is referenced to.
+        rngs: one generator per row.
+        gain: amplitude gain on the shaped part (a receiver noise
+            figure, ``10**(nf_db/20)``).
+        floor_power: mean power of a flat white floor added to every
+            row (e.g. residual self-interference), drawn in the same
+            bins rather than separately.
     """
+    if floor_power < 0:
+        raise ValueError("floor_power must be non-negative")
+    trials = len(rngs)
     if n <= 0:
-        return np.zeros((len(rngs), 0), dtype=np.complex128)
-    bins = np.empty((len(rngs), n), dtype=np.complex128)
+        return np.zeros((trials, 0), dtype=np.complex128)
+    draws = np.empty((trials, 2, n))
     for t, rng in enumerate(rngs):
-        bins[t] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    bins *= _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)[None, :]
-    noise = np.fft.ifft(bins, axis=1) * np.sqrt(n)
-    return noise.astype(np.complex128)
+        rng.standard_normal(out=draws[t])
+    # Bin amplitude: each FFT bin spans fs/n Hz of PSD; unit white bins
+    # are scaled so E[|x[t]|^2] = integral of the PSD (+ the floor).
+    amplitude = _shaping_amplitude(
+        n, fs, psd_db_fn, carrier_hz, gain, floor_power
+    )
+    bins = np.empty((trials, n), dtype=np.complex128)
+    np.multiply(draws[:, 0], amplitude, out=bins.real)
+    np.multiply(draws[:, 1], amplitude, out=bins.imag)
+    noise = np.fft.ifft(bins, axis=1)
+    noise *= np.sqrt(n)
+    return noise

@@ -63,9 +63,10 @@ from repro.phy.receiver import (
     _eye_snr_db,
 )
 
-BATCHED_ENGINE_VERSION = 1
+BATCHED_ENGINE_VERSION = 2
 """Version stamp of the batched kernel, recorded in BENCH_* files so a
-benchmark result pins the exact batched-path generation it measured."""
+benchmark result pins the exact batched-path generation it measured.
+2: one shaped noise draw per trial (a new noise stream)."""
 
 BATCHES_COUNTER = counter(
     "repro.phy.batch.batches", "record batches run through the batched chain"
@@ -279,7 +280,9 @@ class BatchedReaderReceiver:
         histogram) are recorded exactly as the per-record chain would.
         """
         rx = self.receiver
-        records = np.asarray(records, dtype=np.complex128)
+        # Row-major at the boundary: reductions along a row must not
+        # depend on how the caller's block happens to be laid out.
+        records = np.ascontiguousarray(records, dtype=np.complex128)
         if records.ndim != 2:
             raise ValueError("records must be a (trials, samples) array")
         trials, n = records.shape

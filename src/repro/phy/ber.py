@@ -15,7 +15,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.analysis.units.vocab import DB
 
@@ -29,6 +28,10 @@ def q_inverse(p: float) -> float:
     """Inverse of the Q function."""
     if not 0.0 < p < 1.0:
         raise ValueError("probability must be in (0, 1)")
+    # Imported here: scipy.special would add ~0.3 s to every import of
+    # the simulator, and nothing on the simulation path needs it.
+    from scipy import special
+
     return math.sqrt(2.0) * float(special.erfcinv(2.0 * p))
 
 

@@ -30,7 +30,7 @@ from repro.dsp.noisegen import (
     colored_noise,  # unused: perfbench/tracing.py patches it in this module
     colored_noise_batch,
     white_noise,  # unused: perfbench/tracing.py patches it in this module
-    white_noise_batch,
+    white_noise_batch,  # unused: perfbench/tracing.py patches it in this module
 )
 from repro.obs.probes import probe_signal, probe_unit_interval
 from repro.obs.spans import span
@@ -270,20 +270,24 @@ def simulate_point_batch(
     record = record + leak
     if include_noise:
         with span("noise"):
-            # Each trial's stream draws its colored bins first, then the
-            # residual-SI white draw, whatever the batch size.
-            ambient = colored_noise_batch(
-                n_samples, fs, scenario.noise.psd_db, scenario.carrier_hz, rngs
-            )
-            record = record + ambient * 10.0 ** (system_noise_figure_db / 20.0)
+            residual_power = 0.0
             if si_suppression_db is not None:
                 residual_level_db = scenario.source_level_db - si_suppression_db
                 # Residual power spread across the chip bandwidth, then
                 # scaled to the simulated bandwidth so in-band density is
                 # right.
                 in_band_power = (10.0 ** (residual_level_db / 20.0)) ** 2
-                total_power = in_band_power * fs / scenario.chip_rate
-                record = record + white_noise_batch(n_samples, total_power, rngs)
+                residual_power = in_band_power * fs / scenario.chip_rate
+            # Ambient x noise figure plus the white residual-SI floor, as
+            # one shaped draw: one fixed-size request per trial stream,
+            # whatever the batch size.
+            noise = colored_noise_batch(
+                n_samples, fs, scenario.noise.psd_db, scenario.carrier_hz, rngs,
+                gain=10.0 ** (system_noise_figure_db / 20.0),
+                floor_power=residual_power,
+            )
+            noise += record
+            record = noise
 
     # --- demodulate and score ---
     with span("demod"):

@@ -118,6 +118,21 @@ class TestDemodulateBatch:
             assert a.frame == b.frame
             assert np.array_equal(a.chip_soft, b.chip_soft)
 
+    def test_result_is_independent_of_memory_layout(self):
+        # A Fortran-ordered block (e.g. from a last-axis gather) must
+        # demodulate exactly like its C-ordered copy.
+        records = _records(5, seed=3)
+        batched = BatchedReaderReceiver(ReaderReceiver(fs=16000.0, chip_rate=2000.0))
+        c_order = batched.demodulate_batch(np.ascontiguousarray(records))
+        f_order = batched.demodulate_batch(np.asfortranarray(records))
+        for a, b in zip(c_order, f_order):
+            assert float.hex(a.snr_db) == float.hex(b.snr_db)
+            assert float.hex(a.cfo_hz) == float.hex(b.cfo_hz)
+            assert a.frame == b.frame
+            assert a.detection == b.detection
+            assert a.success == b.success
+            assert np.array_equal(a.chip_soft, b.chip_soft)
+
     def test_empty_and_undetectable_records(self):
         rx = ReaderReceiver(fs=16000.0, chip_rate=2000.0)
         batched = BatchedReaderReceiver(rx)
@@ -160,6 +175,63 @@ class TestBatchedNoise:
                 512, 192_000.0, psd, 18_500.0, np.random.default_rng((2, t))
             )
             assert np.array_equal(batch[t], want)
+
+
+class TestFoldedNoiseFloor:
+    """One shaped draw carries ambient x gain plus a white floor."""
+
+    FS, CARRIER_HZ, N = 192_000.0, 18_500.0, 1024
+
+    def test_gain_scales_the_shaped_rows(self):
+        psd = NoiseConditions().psd_db
+        plain = colored_noise_batch(
+            self.N, self.FS, psd, self.CARRIER_HZ,
+            [np.random.default_rng((6, t)) for t in range(3)],
+        )
+        loud = colored_noise_batch(
+            self.N, self.FS, psd, self.CARRIER_HZ,
+            [np.random.default_rng((6, t)) for t in range(3)], gain=3.0,
+        )
+        np.testing.assert_allclose(loud, 3.0 * plain, rtol=1e-12, atol=0.0)
+
+    def test_negative_floor_rejected(self):
+        with pytest.raises(ValueError):
+            colored_noise_batch(
+                8, self.FS, NoiseConditions().psd_db, self.CARRIER_HZ,
+                [np.random.default_rng(0)], floor_power=-1.0,
+            )
+
+    def test_matches_shaped_plus_white_sum_in_distribution(self):
+        # The folded draw against the two-draw sum it replaces, with the
+        # floor raised to the ambient x gain power so both terms count.
+        trials, n, gain = 400, self.N, 10.0 ** (10.0 / 20.0)
+        psd = NoiseConditions().psd_db
+        shaped = colored_noise_batch(
+            n, self.FS, psd, self.CARRIER_HZ,
+            [np.random.default_rng((7, t)) for t in range(trials)],
+        ) * gain
+        floor = float(np.mean(np.abs(shaped) ** 2))
+        rngs = [np.random.default_rng((8, t)) for t in range(trials)]
+        two_draws = colored_noise_batch(
+            n, self.FS, psd, self.CARRIER_HZ, rngs
+        ) * gain + white_noise_batch(n, floor, rngs)
+        folded = colored_noise_batch(
+            n, self.FS, psd, self.CARRIER_HZ,
+            [np.random.default_rng((9, t)) for t in range(trials)],
+            gain=gain, floor_power=floor,
+        )
+        power_ratio = np.mean(np.abs(folded) ** 2) / np.mean(
+            np.abs(two_draws) ** 2
+        )
+        assert abs(power_ratio - 1.0) < 0.02
+
+        def band_powers(rows):
+            spectrum = np.mean(np.abs(np.fft.fft(rows, axis=1)) ** 2, axis=0)
+            return np.fft.fftshift(spectrum).reshape(8, -1).sum(axis=1)
+
+        np.testing.assert_allclose(
+            band_powers(folded) / band_powers(two_draws), 1.0, atol=0.03
+        )
 
 
 class TestBatchedFrameCodecs:

@@ -8,12 +8,16 @@ not "close" — it is *exact*: each case below must reproduce its pinned
 ``TrialResult`` stream field for field, bit for bit (floats are stored
 as ``float.hex``).
 
-The goldens in ``tests/goldens/trial_results.json`` were produced by the
-two-engine simulator this pipeline replaced (see the file's
-``generated`` block for the commit and command). Regenerate only for a
-deliberate change of the results::
+The goldens in ``tests/goldens/trial_results.json`` pin the v2 noise
+stream (one shaped Gaussian draw per trial, carrying the ambient noise
+times the noise figure and the residual-SI floor). They were generated
+on top of commit dfa34d7 by::
 
-    PYTHONPATH=src python tests/test_sim_batched_parity.py --write <commit>
+    PYTHONPATH=src python tests/test_sim_batched_parity.py --write dfa34d7+noise-v2
+
+(the file's ``generated`` block repeats the label and command). The v1
+goldens they replace came from the two-engine simulator at d291b99.
+Regenerate only for a deliberate change of the results.
 """
 
 import dataclasses
@@ -29,8 +33,15 @@ from repro.geometry.placement import Pose
 from repro.geometry.vec3 import Vec3
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import SpanTracer, collect_spans
+from repro.phy.frame import build_frame
 from repro.phy.receiver import ReaderReceiver
-from repro.sim.engine import TrialResult, simulate_point_batch, simulate_trial
+from repro.sim.engine import (
+    IDLE_CHIPS_AFTER,
+    IDLE_CHIPS_BEFORE,
+    TrialResult,
+    simulate_point_batch,
+    simulate_trial,
+)
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign, run_campaign
@@ -303,6 +314,28 @@ class TestOnePipeline:
         assert batch == singles
 
 
+class TestNoiseStream:
+    def test_each_trial_stream_makes_one_noise_request(self):
+        # After its payload draw, a trial's generator is advanced by
+        # exactly one standard_normal(2n): the shaped ambient x noise
+        # figure and the residual-SI floor come from the same bins.
+        scenario = Scenario.river(250.0)
+        rngs = [np.random.default_rng((12, t)) for t in range(3)]
+        refs = [np.random.default_rng((12, t)) for t in range(3)]
+        payloads = [
+            bytes(rng.integers(0, 256, size=8, dtype=np.uint8)) for rng in rngs
+        ]
+        for ref in refs:
+            ref.integers(0, 256, size=8, dtype=np.uint8)
+        simulate_point_batch(scenario, payloads, rngs)
+        frame = build_frame(VanAttaNode().node_id, payloads[0])
+        chips = IDLE_CHIPS_BEFORE + len(frame) + IDLE_CHIPS_AFTER
+        n = chips * scenario.samples_per_chip
+        for rng, ref in zip(rngs, refs):
+            ref.standard_normal(2 * n)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def run_traced(campaign, trials):
     """Run one point's trials; return (leaf span counts, metrics registry)."""
     registry = MetricsRegistry()
@@ -351,13 +384,13 @@ class TestEngineDispatch:
 
 
 def write_goldens(commit):
-    """Run every case and pin its results (see the module docstring)."""
+    """Run every case and pin its results under a ``commit`` label."""
     GOLDENS.parent.mkdir(exist_ok=True)
     payload = {
         "generated": {
             "commit": commit,
             "command": (
-                f"PYTHONPATH=<checkout of {commit}>/src python "
+                "PYTHONPATH=src python "
                 f"tests/test_sim_batched_parity.py --write {commit}"
             ),
         },

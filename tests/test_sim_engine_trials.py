@@ -1,6 +1,10 @@
 """Integration tests: the end-to-end waveform simulator and campaigns."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,3 +166,22 @@ class TestCampaigns:
         assert point.detection_rate == 0.0
         assert point.mean_snr_db == -math.inf
         assert point.ber == 0.5
+
+
+class TestImportFootprint:
+    def test_simulator_import_leaves_scipy_special_and_signal_unloaded(self):
+        # scipy.special (q_inverse) and scipy.signal (the DC blocker) are
+        # imported where they are used, so a fresh `import repro.sim`
+        # stays cheap for pool workers and CLI start-up.
+        code = (
+            "import sys, repro.sim\n"
+            "print(sorted(m for m in ('scipy.special', 'scipy.signal')"
+            " if m in sys.modules))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -38,7 +38,9 @@ invisible in the returned numbers:
   geometry (`reader_node_response`, `channel_cache_info`,
   `clear_channel_cache`).
 - `repro.dsp.noisegen` caches the Wenz PSD shaping filter per
-  `(n, fs, conditions, carrier)` (`clear_noise_cache`).
+  `(n, fs, conditions, carrier, gain, floor)` (`clear_noise_cache`);
+  the simulator draws ambient noise x noise figure plus the residual-SI
+  floor as one shaped draw per trial (`colored_noise_batch`).
 
 Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
