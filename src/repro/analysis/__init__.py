@@ -6,13 +6,17 @@ rest on conventions — an explicit ``rng`` threaded everywhere, unit
 suffixes on names — that documentation alone cannot hold. This package
 machine-checks them with a stdlib-``ast`` lint framework plus five
 per-file rules (``VAB001``..``VAB005``; see
-:mod:`repro.analysis.rules`), a flow-sensitive, interprocedural
-dimensional-analysis engine (``VAB006``..``VAB010``; see
+:mod:`repro.analysis.rules`) and three interprocedural dataflow
+engines run by one incremental driver (:mod:`repro.analysis.dataflow`):
+dimensional analysis (``VAB006``..``VAB010``;
 :mod:`repro.analysis.units`) that tracks units through assignments,
-arithmetic, and call boundaries, and a shape/dtype dataflow engine
-(``VAB011``..``VAB016``; see :mod:`repro.analysis.shapes`) that tracks
+arithmetic, and call boundaries, a shape/dtype analysis
+(``VAB011``..``VAB016``; :mod:`repro.analysis.shapes`) that tracks
 symbolic ndarray shapes, dtypes, and determinism taints through the
-batched kernels.
+batched kernels, and an effect/purity analysis (``VAB017``..``VAB022``;
+:mod:`repro.analysis.effects`). The driver parses each file once for
+all three and keeps them in one cache file under one
+:data:`ENGINE_VERSION`.
 
 Run it via ``python tools/vablint.py src/repro``, the ``repro lint``
 CLI subcommand, or the API::
@@ -27,6 +31,12 @@ Suppress a deliberate violation inline with
 and add rules by subclassing :class:`~repro.analysis.registry.Rule`
 under the :func:`~repro.analysis.registry.register` decorator.
 """
+
+ENGINE_VERSION = "2.0.0"
+"""Version of the dataflow engines and their shared cache format;
+bumping it invalidates every cache file. It lives here, not in the
+driver, so campaign manifests can stamp it without loading the
+engines."""
 
 from repro.analysis.findings import Finding
 from repro.analysis.linter import (
@@ -44,6 +54,7 @@ from repro.analysis.reporters import render_catalogue, render_json, render_text
 from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = [
+    "ENGINE_VERSION",
     "Finding",
     "LintReport",
     "lint_paths",

@@ -10,37 +10,14 @@ declared with the ``Pure[T]`` / ``Effectful[T, atoms...]`` vocabulary
 (:mod:`~repro.analysis.effects.vocab`), known stdlib/numpy/repro
 signatures live in a curated database
 (:mod:`~repro.analysis.effects.sigdb`), and a flow-sensitive,
-interprocedural fixed-point engine
-(:mod:`~repro.analysis.effects.engine`) rides the same
-:class:`~repro.analysis.units.symbols.ModuleInfo` symbol tables and the
-same incremental cache driver (:mod:`repro.analysis.incremental`) as
-the other two engines.
+interprocedural engine (:mod:`~repro.analysis.effects.engine`) runs
+as a plugin of the shared driver (:mod:`repro.analysis.dataflow`) over
+the same parsed modules as the other two engines.
 
-Entry points::
-
-    from repro.analysis.effects import analyze_effects
-
-    report = analyze_effects(discover_files(["src/repro"]))
-    assert report.clean, report.findings
-
-``analyze_effects(files, cache_path=...)`` is incremental with the same
-sha-keyed, call-graph-aware invalidation contract as ``analyze_units``.
 The rules run under the same ``--units`` CLI flag as VAB006..VAB016 —
 no new CLI surface.
 """
 
-from repro.analysis.effects.cache import (
-    DEFAULT_CACHE_NAME,
-    ENGINE_VERSION,
-    EffectsReport,
-    analyze_effects,
-    effects_cache_path,
-)
-from repro.analysis.effects.engine import (
-    EffectSummary,
-    run_effect_fixed_point,
-    seed_effect_summaries,
-)
 from repro.analysis.effects.vocab import (
     ATOMS,
     EffectTag,
@@ -95,18 +72,10 @@ EFFECT_RULES = {
 EFFECT_RULE_IDS = tuple(sorted(EFFECT_RULES))
 
 __all__ = [
-    "analyze_effects",
-    "effects_cache_path",
-    "EffectsReport",
-    "ENGINE_VERSION",
-    "DEFAULT_CACHE_NAME",
     "EFFECT_RULES",
     "EFFECT_RULE_IDS",
-    "EffectSummary",
     "EffectTag",
     "Pure",
     "Effectful",
     "ATOMS",
-    "seed_effect_summaries",
-    "run_effect_fixed_point",
 ]

@@ -1,7 +1,7 @@
 """Shared driver behind ``tools/vablint.py`` and ``repro lint``.
 
 Both CLIs parse the same flags; the actual flow — discover, lint,
-optionally run the units engine, optionally diff against a baseline,
+optionally run the dataflow engines, optionally diff against a baseline,
 render — lives here once so the two entry points cannot drift.
 """
 
@@ -66,7 +66,8 @@ def add_lint_flags(parser: argparse.ArgumentParser) -> None:
                              "effect/purity analysis (VAB017..VAB022)")
     parser.add_argument("--units-cache", default=".vablint_units_cache.json",
                         metavar="PATH", dest="units_cache",
-                        help="cache file for incremental --units runs")
+                        help="the one cache file for incremental --units "
+                             "runs (all three engines)")
     parser.add_argument("--no-units-cache", action="store_true",
                         dest="no_units_cache",
                         help="force a cold --units run (no cache read/write)")
@@ -150,8 +151,8 @@ def run_lint(
         changed: git ref — restrict the lint to discovered files that
             differ from this ref (or are untracked). A git failure is
             an :data:`EXIT_ERROR`, not a silent full run.
-        units: run the dataflow engines (VAB006..VAB016).
-        units_cache: cache file for incremental units runs (implies
+        units: run the dataflow engines (VAB006..VAB022).
+        units_cache: the engines' incremental cache file (implies
             nothing when ``units`` is off).
         baseline: differential mode — only findings *not* covered by
             this baseline file count against the exit code.

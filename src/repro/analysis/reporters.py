@@ -39,24 +39,9 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
         )
         lines.append(f"{total} finding(s) in {report.files} files"
                      + (f" [{by_rule}]" if by_rule else ""))
-    if report.units_stats is not None:
-        stats = report.units_stats
+    for label, stats in _engine_stats(report):
         lines.append(
-            f"units: engine {stats['engine_version']}, "
-            f"{stats['analyzed']} analyzed, {stats['reused']} cached, "
-            f"{stats['passes']} passes"
-        )
-    if report.shapes_stats is not None:
-        stats = report.shapes_stats
-        lines.append(
-            f"shapes: engine {stats['engine_version']}, "
-            f"{stats['analyzed']} analyzed, {stats['reused']} cached, "
-            f"{stats['passes']} passes"
-        )
-    if report.effects_stats is not None:
-        stats = report.effects_stats
-        lines.append(
-            f"effects: engine {stats['engine_version']}, "
+            f"{label}: engine {stats['engine_version']}, "
             f"{stats['analyzed']} analyzed, {stats['reused']} cached, "
             f"{stats['passes']} passes"
         )
@@ -64,6 +49,19 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
         lines.append("")
         lines.append(render_catalogue())
     return "\n".join(lines) + "\n"
+
+
+def _engine_stats(report: LintReport) -> List[Tuple[str, Dict[str, object]]]:
+    """(engine, stats) for each dataflow engine that ran."""
+    return [
+        (label, stats)
+        for label, stats in (
+            ("units", report.units_stats),
+            ("shapes", report.shapes_stats),
+            ("effects", report.effects_stats),
+        )
+        if stats is not None
+    ]
 
 
 def render_json(report: LintReport, stats: bool = False) -> str:
@@ -81,12 +79,7 @@ def render_json(report: LintReport, stats: bool = False) -> str:
         "errors": [f.to_dict() for f in report.errors],
         "counts": report.counts_by_rule(),
     }
-    if report.units_stats is not None:
-        payload["units"] = report.units_stats
-    if report.shapes_stats is not None:
-        payload["shapes"] = report.shapes_stats
-    if report.effects_stats is not None:
-        payload["effects"] = report.effects_stats
+    payload.update(_engine_stats(report))
     if stats:
         payload["stats"] = stats_payload(report)
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
@@ -134,13 +127,11 @@ def render_stats(report: LintReport) -> str:
         f"rules: {report.files} files in "
         f"{report.timings.get('rules', 0.0):.3f}s"
     )
-    for label, stats in (
-        ("units", report.units_stats),
-        ("shapes", report.shapes_stats),
-        ("effects", report.effects_stats),
-    ):
-        if stats is None:
-            continue
+    if "parse" in report.timings:
+        lines.append(
+            f"parse: shared engine front-end in {report.timings['parse']:.3f}s"
+        )
+    for label, stats in _engine_stats(report):
         lines.append(
             f"{label}: {stats['analyzed']} analyzed (cache miss), "
             f"{stats['reused']} reused (cache hit), "
@@ -157,17 +148,12 @@ def stats_payload(report: LintReport) -> Dict[str, object]:
             k: round(v, 6) for k, v in sorted(report.timings.items())
         },
     }
-    for label, stats in (
-        ("units", report.units_stats),
-        ("shapes", report.shapes_stats),
-        ("effects", report.effects_stats),
-    ):
-        if stats is not None:
-            payload[label] = {
-                "hits": stats["reused"],
-                "misses": stats["analyzed"],
-                "passes": stats["passes"],
-            }
+    for label, stats in _engine_stats(report):
+        payload[label] = {
+            "hits": stats["reused"],
+            "misses": stats["analyzed"],
+            "passes": stats["passes"],
+        }
     return payload
 
 

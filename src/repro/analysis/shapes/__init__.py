@@ -7,37 +7,14 @@ names seeded from ``Shaped["trials", "samples"]``-style ``Annotated``
 contracts (:mod:`~repro.analysis.shapes.vocab`), a curated signature
 database for the numpy surface the repo uses
 (:mod:`~repro.analysis.shapes.sigdb`), and a flow-sensitive,
-interprocedural fixed-point engine
-(:mod:`~repro.analysis.shapes.engine`) built on the same
-:class:`~repro.analysis.units.symbols.ModuleInfo` symbol tables and the
-same incremental cache driver (:mod:`repro.analysis.incremental`) as
-the units engine.
+interprocedural engine (:mod:`~repro.analysis.shapes.engine`) that the
+shared driver (:mod:`repro.analysis.dataflow`) runs as a plugin over
+the same parsed modules as the units engine.
 
-Entry points::
-
-    from repro.analysis.shapes import analyze_shapes
-
-    report = analyze_shapes(discover_files(["src/repro"]))
-    assert report.clean, report.findings
-
-``analyze_shapes(files, cache_path=...)`` is incremental with the same
-sha-keyed, call-graph-aware invalidation contract as ``analyze_units``.
 The rules run under the same ``--units`` CLI flag as VAB006..VAB010 —
 no new CLI surface.
 """
 
-from repro.analysis.shapes.cache import (
-    DEFAULT_CACHE_NAME,
-    ENGINE_VERSION,
-    ShapesReport,
-    analyze_shapes,
-    shapes_cache_path,
-)
-from repro.analysis.shapes.engine import (
-    ShapeSummary,
-    run_shape_fixed_point,
-    seed_shape_summaries,
-)
 from repro.analysis.shapes.vocab import (
     ComplexShaped,
     FloatShaped,
@@ -90,20 +67,12 @@ SHAPE_RULES = {
 SHAPE_RULE_IDS = tuple(sorted(SHAPE_RULES))
 
 __all__ = [
-    "analyze_shapes",
-    "shapes_cache_path",
-    "ShapesReport",
-    "ENGINE_VERSION",
-    "DEFAULT_CACHE_NAME",
     "SHAPE_RULES",
     "SHAPE_RULE_IDS",
-    "ShapeSummary",
     "ShapeTag",
     "ShapeVal",
     "Shaped",
     "ComplexShaped",
     "FloatShaped",
     "IntShaped",
-    "seed_shape_summaries",
-    "run_shape_fixed_point",
 ]

@@ -11,38 +11,10 @@ through assignments, tuple unpacking, and arithmetic, and across call
 boundaries by a fixed-point pass
 (:mod:`~repro.analysis.units.engine`).
 
-Entry points::
-
-    from repro.analysis.units import analyze_units
-
-    report = analyze_units(discover_files(["src/repro"]))
-    assert report.clean, report.findings
-
-``analyze_units(files, cache_path=...)`` is incremental — unchanged
-files and their untouched call-graph dependents are served from the
-cache (:mod:`~repro.analysis.units.cache`). The differential baseline
-workflow for CI lives in :mod:`~repro.analysis.units.baseline`.
+The shared driver (:mod:`repro.analysis.dataflow`) runs the engine as
+a plugin next to the shapes and effects engines. The differential
+baseline workflow for CI lives in :mod:`~repro.analysis.units.baseline`.
 """
-
-from repro.analysis.units.baseline import (
-    apply_baseline,
-    diff_against_baseline,
-    finding_key,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.units.cache import (
-    ENGINE_VERSION,
-    UnitsCache,
-    UnitsReport,
-    analyze_units,
-)
-from repro.analysis.units.engine import (
-    FunctionSummary,
-    run_fixed_point,
-    seed_summaries,
-)
-from repro.analysis.units.symbols import ModuleInfo, extract_module
 
 UNIT_RULES = {
     "VAB006": (
@@ -76,20 +48,6 @@ UNIT_RULES = {
 UNIT_RULE_IDS = tuple(sorted(UNIT_RULES))
 
 __all__ = [
-    "analyze_units",
-    "UnitsReport",
-    "UnitsCache",
-    "ENGINE_VERSION",
     "UNIT_RULES",
     "UNIT_RULE_IDS",
-    "FunctionSummary",
-    "ModuleInfo",
-    "extract_module",
-    "seed_summaries",
-    "run_fixed_point",
-    "finding_key",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "diff_against_baseline",
 ]

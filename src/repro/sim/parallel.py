@@ -87,26 +87,6 @@ def default_workers() -> Effectful[int, "reads:host"]:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def split_evenly(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(n)`` into up to ``parts`` contiguous (start, stop) chunks.
-
-    Chunk sizes differ by at most one, larger chunks first — the same
-    deal ``numpy.array_split`` makes — so no worker idles more than one
-    trial's worth at a barrier.
-    """
-    if n <= 0:
-        return []
-    parts = max(1, min(parts, n))
-    base, extra = divmod(n, parts)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(parts):
-        stop = start + base + (1 if i < extra else 0)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
-
-
 def _run_chunk(
     campaign: TrialCampaign,
     scenario: Scenario,
@@ -376,9 +356,7 @@ def run_observed_campaign(
     honoured the determinism contract.
     """
     from repro import __version__
-    from repro.analysis.effects.cache import ENGINE_VERSION as EFFECTS_ENGINE_VERSION
-    from repro.analysis.shapes.cache import ENGINE_VERSION as SHAPES_ENGINE_VERSION
-    from repro.analysis.units.cache import ENGINE_VERSION as UNITS_ENGINE_VERSION
+    from repro.analysis import ENGINE_VERSION as ANALYSIS_ENGINE_VERSION
     from repro.phy.batch import BATCHED_ENGINE_VERSION
     from repro.sim.export import campaign_to_dict, save_manifest
     from repro.vanatta.fastfield import FASTFIELD_ENGINE_VERSION
@@ -440,9 +418,7 @@ def run_observed_campaign(
         lint=lint_record,
         engine_versions={
             "phy.batch": BATCHED_ENGINE_VERSION,
-            "analysis.units": UNITS_ENGINE_VERSION,
-            "analysis.shapes": SHAPES_ENGINE_VERSION,
-            "analysis.effects": EFFECTS_ENGINE_VERSION,
+            "analysis": ANALYSIS_ENGINE_VERSION,
             "vanatta.fastfield": FASTFIELD_ENGINE_VERSION,
         },
     )

@@ -16,25 +16,22 @@ import pytest
 
 import repro
 from repro.analysis import discover_files, lint_paths, render_catalogue, render_json
+from repro.analysis.dataflow import EFFECTS, analyze, run_fixed_point
 from repro.analysis.effects import (
     EFFECT_RULE_IDS,
     EFFECT_RULES,
-    EffectSummary,
     EffectTag,
     Effectful,
     Pure,
-    analyze_effects,
-    effects_cache_path,
-    run_effect_fixed_point,
-    seed_effect_summaries,
 )
+from repro.analysis.effects.engine import EffectSummary, seed_effect_summaries
 from repro.analysis.effects.vocab import (
     ATOMS,
     HIDDEN_INPUT_ATOMS,
     SIDE_EFFECT_ATOMS,
     TAG_CONSTANTS,
 )
-from repro.analysis.units.symbols import extract_module
+from repro.analysis.symbols import extract_module
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -81,10 +78,10 @@ def test_src_repro_is_effect_clean():
     undeclared effects — every hidden input and side effect on the
     cache/ledger/parallel hot paths is covered by an explicit grant."""
     package_root = Path(repro.__file__).resolve().parent
-    report = analyze_effects(discover_files([package_root]))
+    report = analyze(discover_files([package_root]))
     assert report.clean, "\n".join(f.render() for f in report.findings)
     assert report.files > 50
-    assert report.passes >= 1
+    assert report.runs["effects"].passes >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def test_effects_findings_respect_suppressions(tmp_path):
     )
     path = tmp_path / "suppressed.py"
     path.write_text(src)
-    report = analyze_effects([path])
+    report = analyze([path])
     assert report.clean, [f.render() for f in report.findings]
 
 
@@ -244,10 +241,10 @@ def test_hidden_input_propagates_to_the_memoized_caller(tmp_path):
     the effect through the fixed point and trips VAB017 at its call
     site, in a different file from the read itself."""
     producer, caller = _write_effect_pair(tmp_path, hidden=True)
-    report = analyze_effects([producer, caller])
+    report = analyze([producer, caller])
     got = [(f.rule_id, Path(f.path).name, f.line) for f in report.findings]
     assert ("VAB017", "caller.py", 8) in got
-    assert report.passes >= 2  # the chain needs propagation, not one sweep
+    assert report.runs["effects"].passes >= 2  # the chain needs propagation, not one sweep
 
 
 def test_sim_cache_hot_path_carries_declared_grants():
@@ -257,7 +254,7 @@ def test_sim_cache_hot_path_carries_declared_grants():
     path = Path(repro.__file__).resolve().parent / "sim" / "cache.py"
     info = extract_module(path, path.read_text(encoding="utf-8"))
     summaries = seed_effect_summaries([info])
-    _, summaries, _ = run_effect_fixed_point([info], summaries)
+    _, summaries, _ = run_fixed_point(EFFECTS, [info], summaries)
     prefix = "repro.sim.cache."
 
     for name in ("cached_between", "reader_node_response"):
@@ -279,7 +276,7 @@ def test_version_stamp_deletion_is_caught(tmp_path):
     assert edited != src  # the fixture still contains the stamp entry
     path = tmp_path / "stamps.py"
     path.write_text(edited)
-    report = analyze_effects([path])
+    report = analyze([path])
     assert [(f.rule_id, f.line) for f in report.findings] == [("VAB021", 5)]
     assert "FASTPATH_ENGINE_VERSION" in report.findings[0].message
 
@@ -294,7 +291,7 @@ def test_cache_reanalyzes_dependents_of_an_effect_edit(tmp_path):
     cache = tmp_path / "effects_cache.json"
     files = [producer, caller]
 
-    cold = analyze_effects(files, cache_path=cache)
+    cold = analyze(files, cache_path=cache)
     assert ("VAB017", "caller.py", 8) in [
         (f.rule_id, Path(f.path).name, f.line) for f in cold.findings
     ]
@@ -302,7 +299,7 @@ def test_cache_reanalyzes_dependents_of_an_effect_edit(tmp_path):
         "caller.py", "producer.py",
     ]
 
-    warm = analyze_effects(files, cache_path=cache)
+    warm = analyze(files, cache_path=cache)
     assert warm.analyzed == []
     assert sorted(Path(p).name for p in warm.reused) == [
         "caller.py", "producer.py",
@@ -314,7 +311,7 @@ def test_cache_reanalyzes_dependents_of_an_effect_edit(tmp_path):
     # Make the producer pure: only its bytes change, but the caller's
     # inherited effect set depends on it -> both re-analyze, both clean.
     _write_effect_pair(tmp_path, hidden=False)
-    edited = analyze_effects(files, cache_path=cache)
+    edited = analyze(files, cache_path=cache)
     assert sorted(Path(p).name for p in edited.analyzed) == [
         "caller.py", "producer.py",
     ]
@@ -325,7 +322,7 @@ def test_cache_and_cold_reports_are_byte_identical(tmp_path):
     cache = tmp_path / "effects_cache.json"
     fixture = FIXTURES / "vab017_bad.py"
     cold = lint_paths([fixture], units=True)
-    analyze_effects([fixture], cache_path=cache)  # prime
+    analyze([fixture], cache_path=cache)  # prime
     warm = lint_paths([fixture], units=True)
     # Stats differ (analyzed vs reused); the findings must not.
     cold_payload = json.loads(render_json(cold))
@@ -337,36 +334,30 @@ def test_cache_and_cold_reports_are_byte_identical(tmp_path):
 def test_cache_invalidates_on_engine_version_change(tmp_path, monkeypatch):
     producer, caller = _write_effect_pair(tmp_path, hidden=True)
     cache = tmp_path / "effects_cache.json"
-    analyze_effects([producer, caller], cache_path=cache)
-    warm = analyze_effects([producer, caller], cache_path=cache)
+    analyze([producer, caller], cache_path=cache)
+    warm = analyze([producer, caller], cache_path=cache)
     assert warm.analyzed == []
 
-    import repro.analysis.effects.cache as effects_cache_module
+    import repro.analysis.dataflow as dataflow
 
-    monkeypatch.setattr(effects_cache_module, "ENGINE_VERSION", "999.0.0")
-    bumped = analyze_effects([producer, caller], cache_path=cache)
+    monkeypatch.setattr(dataflow, "ENGINE_VERSION", "999.0.0")
+    bumped = analyze([producer, caller], cache_path=cache)
     assert sorted(Path(p).name for p in bumped.analyzed) == [
         "caller.py", "producer.py",
     ]
     assert bumped.engine_version == "999.0.0"
 
 
-def test_effects_cache_path_derivation():
-    assert effects_cache_path(None) is None
-    assert effects_cache_path(
-        Path("x/.vablint_units_cache.json")
-    ) == Path("x/.vablint_effects_cache.json")
-    assert effects_cache_path(Path("x/lint.json")) == Path("x/lint.json.effects")
-
-
-def test_lint_paths_writes_the_sibling_effects_cache(tmp_path):
+def test_lint_paths_keeps_effects_results_in_the_one_cache_file(tmp_path):
     units_cache = tmp_path / "units_cache.json"
     report = lint_paths(
         [FIXTURES / "vab017_bad.py"], units=True, units_cache=units_cache
     )
-    assert report.units_stats is not None
     assert report.effects_stats is not None
-    sibling = effects_cache_path(units_cache)
-    assert units_cache.is_file() and sibling.is_file()
-    payload = json.loads(sibling.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["units_cache.json"]
+    payload = json.loads(units_cache.read_text())
     assert payload["engine"] == report.effects_stats["engine_version"]
+    (entry,) = payload["files"].values()
+    assert sorted(f["rule"] for f in entry["findings"]["effects"]) == [
+        "VAB017", "VAB017", "VAB022",
+    ]

@@ -194,7 +194,7 @@ class TestLedgerEndToEnd:
         _, m1, _ = sweep_pair
         assert m1.engine_versions is not None
         assert "phy.batch" in m1.engine_versions
-        assert "analysis.units" in m1.engine_versions
+        assert "analysis" in m1.engine_versions
 
     def test_stored_manifest_loads_equal(self, sweep_pair):
         ledger, m1, _ = sweep_pair

@@ -14,15 +14,9 @@ import pytest
 
 import repro
 from repro.analysis import discover_files, lint_paths, render_catalogue, render_json
-from repro.analysis.shapes import (
-    SHAPE_RULE_IDS,
-    SHAPE_RULES,
-    ShapeVal,
-    analyze_shapes,
-    run_shape_fixed_point,
-    seed_shape_summaries,
-    shapes_cache_path,
-)
+from repro.analysis.dataflow import SHAPES, analyze, run_fixed_point
+from repro.analysis.shapes import SHAPE_RULE_IDS, SHAPE_RULES, ShapeVal
+from repro.analysis.shapes.engine import seed_shape_summaries
 from repro.analysis.shapes.vocab import (
     COMPLEX,
     FLOAT,
@@ -34,7 +28,7 @@ from repro.analysis.shapes.vocab import (
     dims_conflict,
     promote_dtype,
 )
-from repro.analysis.units.symbols import extract_module
+from repro.analysis.symbols import extract_module
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -79,10 +73,10 @@ def test_shape_rule_ids_and_catalogue_agree():
 def test_src_repro_is_shape_clean():
     """The acceptance gate: the shipped kernels carry no shape bugs."""
     package_root = Path(repro.__file__).resolve().parent
-    report = analyze_shapes(discover_files([package_root]))
+    report = analyze(discover_files([package_root]))
     assert report.clean, "\n".join(f.render() for f in report.findings)
     assert report.files > 50
-    assert report.passes >= 1
+    assert report.runs["shapes"].passes >= 1
 
 
 def test_shapes_findings_respect_suppressions(tmp_path):
@@ -94,7 +88,7 @@ def test_shapes_findings_respect_suppressions(tmp_path):
     )
     path = tmp_path / "suppressed.py"
     path.write_text(src)
-    assert analyze_shapes([path]).clean
+    assert analyze([path]).clean
 
 
 def test_suppression_on_continuation_line_covers_the_statement(tmp_path):
@@ -110,7 +104,7 @@ def test_suppression_on_continuation_line_covers_the_statement(tmp_path):
     )
     path = tmp_path / "paren.py"
     path.write_text(src)
-    assert analyze_shapes([path]).clean
+    assert analyze([path]).clean
 
     src_bs = (
         "from repro.analysis.shapes.vocab import ComplexShaped\n"
@@ -122,7 +116,7 @@ def test_suppression_on_continuation_line_covers_the_statement(tmp_path):
     )
     path_bs = tmp_path / "backslash.py"
     path_bs.write_text(src_bs)
-    assert analyze_shapes([path_bs]).clean
+    assert analyze([path_bs]).clean
 
 
 def test_suppression_on_own_line_does_not_leak_to_next_statement(tmp_path):
@@ -135,7 +129,7 @@ def test_suppression_on_own_line_does_not_leak_to_next_statement(tmp_path):
     )
     path = tmp_path / "leak.py"
     path.write_text(src)
-    report = analyze_shapes([path])
+    report = analyze([path])
     assert [f.rule_id for f in report.findings] == ["VAB013"]
 
 
@@ -153,7 +147,7 @@ def test_fastfield_chain_infers_through_the_kernel():
     )
     info = extract_module(path, path.read_text(encoding="utf-8"))
     summaries = seed_shape_summaries([info])
-    _, summaries, passes = run_shape_fixed_point([info], summaries)
+    _, summaries, passes = run_fixed_point(SHAPES, [info], summaries)
     prefix = "repro.vanatta.fastfield.ArrayFactorEngine."
 
     kernel = summaries[prefix + "monostatic_field_sum"]
@@ -255,7 +249,7 @@ def test_cache_reanalyzes_dependents_of_a_contract_edit(tmp_path):
     cache = tmp_path / "shapes_cache.json"
     files = [producer, caller]
 
-    cold = analyze_shapes(files, cache_path=cache)
+    cold = analyze(files, cache_path=cache)
     assert [(f.rule_id, Path(f.path).name, f.line) for f in cold.findings] == [
         ("VAB013", "caller.py", 4)
     ]
@@ -263,7 +257,7 @@ def test_cache_reanalyzes_dependents_of_a_contract_edit(tmp_path):
         "caller.py", "producer.py",
     ]
 
-    warm = analyze_shapes(files, cache_path=cache)
+    warm = analyze(files, cache_path=cache)
     assert warm.analyzed == []
     assert sorted(Path(p).name for p in warm.reused) == [
         "caller.py", "producer.py",
@@ -275,7 +269,7 @@ def test_cache_reanalyzes_dependents_of_a_contract_edit(tmp_path):
     # Relax the producer's contract: only its bytes change, but the
     # caller's call-site verdict depends on it -> both re-analyze.
     _write_kernel_pair(tmp_path, "FloatShaped")
-    edited = analyze_shapes(files, cache_path=cache)
+    edited = analyze(files, cache_path=cache)
     assert sorted(Path(p).name for p in edited.analyzed) == [
         "caller.py", "producer.py",
     ]
@@ -286,7 +280,7 @@ def test_cache_and_cold_reports_are_byte_identical(tmp_path):
     cache = tmp_path / "shapes_cache.json"
     fixture = FIXTURES / "vab013_bad.py"
     cold = lint_paths([fixture], units=True)
-    analyze_shapes([fixture], cache_path=cache)  # prime
+    analyze([fixture], cache_path=cache)  # prime
     warm = lint_paths([fixture], units=True)
     # Stats differ (analyzed vs reused); the findings must not.
     cold_payload = json.loads(render_json(cold))
@@ -298,36 +292,28 @@ def test_cache_and_cold_reports_are_byte_identical(tmp_path):
 def test_cache_invalidates_on_engine_version_change(tmp_path, monkeypatch):
     producer, caller = _write_kernel_pair(tmp_path, "ComplexShaped")
     cache = tmp_path / "shapes_cache.json"
-    analyze_shapes([producer, caller], cache_path=cache)
-    warm = analyze_shapes([producer, caller], cache_path=cache)
+    analyze([producer, caller], cache_path=cache)
+    warm = analyze([producer, caller], cache_path=cache)
     assert warm.analyzed == []
 
-    import repro.analysis.shapes.cache as shapes_cache_module
+    import repro.analysis.dataflow as dataflow
 
-    monkeypatch.setattr(shapes_cache_module, "ENGINE_VERSION", "999.0.0")
-    bumped = analyze_shapes([producer, caller], cache_path=cache)
+    monkeypatch.setattr(dataflow, "ENGINE_VERSION", "999.0.0")
+    bumped = analyze([producer, caller], cache_path=cache)
     assert sorted(Path(p).name for p in bumped.analyzed) == [
         "caller.py", "producer.py",
     ]
     assert bumped.engine_version == "999.0.0"
 
 
-def test_shapes_cache_path_derivation():
-    assert shapes_cache_path(None) is None
-    assert shapes_cache_path(
-        Path("x/.vablint_units_cache.json")
-    ) == Path("x/.vablint_shapes_cache.json")
-    assert shapes_cache_path(Path("x/lint.json")) == Path("x/lint.json.shapes")
-
-
-def test_lint_paths_writes_the_sibling_shapes_cache(tmp_path):
+def test_lint_paths_keeps_shapes_results_in_the_one_cache_file(tmp_path):
     units_cache = tmp_path / "units_cache.json"
     report = lint_paths(
         [FIXTURES / "vab016_bad.py"], units=True, units_cache=units_cache
     )
-    assert report.units_stats is not None
     assert report.shapes_stats is not None
-    sibling = shapes_cache_path(units_cache)
-    assert units_cache.is_file() and sibling.is_file()
-    payload = json.loads(sibling.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["units_cache.json"]
+    payload = json.loads(units_cache.read_text())
     assert payload["engine"] == report.shapes_stats["engine_version"]
+    (entry,) = payload["files"].values()
+    assert sorted(f["rule"] for f in entry["findings"]["shapes"]) == ["VAB016", "VAB016"]

@@ -172,11 +172,15 @@ class TestImportFootprint:
     def test_simulator_import_leaves_scipy_special_and_signal_unloaded(self):
         # scipy.special (q_inverse) and scipy.signal (the DC blocker) are
         # imported where they are used, so a fresh `import repro.sim`
-        # stays cheap for pool workers and CLI start-up.
+        # stays cheap for pool workers and CLI start-up. The library
+        # imports only the lint vocabularies; the dataflow driver and
+        # its engines, symbol tables and signature DBs stay unloaded.
         code = (
             "import sys, repro.sim\n"
-            "print(sorted(m for m in ('scipy.special', 'scipy.signal')"
-            " if m in sys.modules))"
+            "print(sorted(m for m in sys.modules if m in"
+            " ('scipy.special', 'scipy.signal') or m.startswith('repro.analysis.')"
+            " and m.rsplit('.', 1)[-1] in"
+            " ('dataflow', 'symbols', 'engine', 'sigdb')))"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)

@@ -18,7 +18,7 @@ from repro.dsp import noisegen
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
-from repro.sim.parallel import run_campaign_parallel, split_evenly
+from repro.sim.parallel import run_campaign_parallel
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign, run_campaign
@@ -31,26 +31,6 @@ RANGES = [50.0, 330.0]
 
 def rake_receiver(scenario):
     return ReaderReceiver.for_scenario(scenario, rake_taps=2)
-
-
-class TestSplitEvenly:
-    def test_covers_range_contiguously(self):
-        for n in (1, 2, 7, 25, 100):
-            for parts in (1, 2, 3, 4, 9, n, n + 5):
-                chunks = split_evenly(n, parts)
-                assert chunks[0][0] == 0
-                assert chunks[-1][1] == n
-                for (_, stop), (start, _) in zip(chunks, chunks[1:]):
-                    assert stop == start
-
-    def test_sizes_differ_by_at_most_one_larger_first(self):
-        chunks = split_evenly(25, 4)
-        sizes = [stop - start for start, stop in chunks]
-        assert sizes == [7, 6, 6, 6]
-
-    def test_never_emits_empty_chunks(self):
-        assert split_evenly(2, 8) == [(0, 1), (1, 2)]
-        assert split_evenly(0, 4) == []
 
 
 class TestParallelDeterminism:

@@ -15,11 +15,10 @@ import pytest
 
 import repro
 from repro.analysis import discover_files, lint_paths, render_json
+from repro.analysis.dataflow import analyze
 from repro.analysis.findings import Finding
-from repro.analysis.units import (
-    UNIT_RULE_IDS,
-    UNIT_RULES,
-    analyze_units,
+from repro.analysis.units import UNIT_RULE_IDS, UNIT_RULES
+from repro.analysis.units.baseline import (
     diff_against_baseline,
     finding_key,
     load_baseline,
@@ -73,10 +72,10 @@ def test_unit_rule_ids_and_catalogue_agree():
 def test_src_repro_is_dimensionally_clean():
     """The acceptance gate: the shipped physics carries no unit bugs."""
     package_root = Path(repro.__file__).resolve().parent
-    report = analyze_units(discover_files([package_root]))
+    report = analyze(discover_files([package_root]))
     assert report.clean, "\n".join(f.render() for f in report.findings)
     assert report.files > 50
-    assert report.passes >= 1
+    assert report.runs["units"].passes >= 1
 
 
 def test_units_findings_respect_suppressions(tmp_path):
@@ -86,7 +85,7 @@ def test_units_findings_respect_suppressions(tmp_path):
     )
     path = tmp_path / "suppressed.py"
     path.write_text(src)
-    assert analyze_units([path]).clean
+    assert analyze([path]).clean
 
 
 def test_interprocedural_conflict_across_files(tmp_path):
@@ -100,7 +99,7 @@ def test_interprocedural_conflict_across_files(tmp_path):
         "def budget(range_km: float) -> float:\n"
         "    return spreading_db(range_km)\n"
     )
-    report = analyze_units(sorted(tmp_path.glob("*.py")))
+    report = analyze(sorted(tmp_path.glob("*.py")))
     assert [(f.rule_id, Path(f.path).name, f.line) for f in report.findings] == [
         ("VAB010", "caller.py", 4)
     ]
@@ -137,11 +136,11 @@ def test_cache_reanalyzes_only_changed_files_and_dependents(tmp_path):
     cache = tmp_path / "units_cache.json"
     files = [a, b, c]
 
-    cold = analyze_units(files, cache_path=cache)
+    cold = analyze(files, cache_path=cache)
     assert sorted(cold.analyzed) == sorted(f.as_posix() for f in files)
     assert cold.reused == []
 
-    warm = analyze_units(files, cache_path=cache)
+    warm = analyze(files, cache_path=cache)
     assert warm.analyzed == []
     assert sorted(warm.reused) == sorted(f.as_posix() for f in files)
 
@@ -150,7 +149,7 @@ def test_cache_reanalyzes_only_changed_files_and_dependents(tmp_path):
         "def source_level_db() -> float:\n"
         "    return 175.0\n"
     )
-    edited = analyze_units(files, cache_path=cache)
+    edited = analyze(files, cache_path=cache)
     assert sorted(edited.analyzed) == sorted([a.as_posix(), b.as_posix()])
     assert edited.reused == [c.as_posix()]
 
@@ -159,7 +158,7 @@ def test_cache_catches_findings_introduced_in_dependents(tmp_path):
     a, b, c = _write_three_modules(tmp_path)
     cache = tmp_path / "units_cache.json"
     files = [a, b, c]
-    assert analyze_units(files, cache_path=cache).clean
+    assert analyze(files, cache_path=cache).clean
 
     # The callee's return changes meaning: the cached caller must be
     # re-analyzed against the new summary and now conflicts.
@@ -168,7 +167,7 @@ def test_cache_catches_findings_introduced_in_dependents(tmp_path):
         "    level_lin = 1e18\n"
         "    return level_lin\n"
     )
-    report = analyze_units(files, cache_path=cache)
+    report = analyze(files, cache_path=cache)
     assert b.as_posix() in report.analyzed
     assert any(f.rule_id == "VAB010" for f in report.findings), [
         f.render() for f in report.findings
@@ -178,10 +177,10 @@ def test_cache_catches_findings_introduced_in_dependents(tmp_path):
 def test_cache_invalidates_on_engine_version_change(tmp_path, monkeypatch):
     a, b, c = _write_three_modules(tmp_path)
     cache = tmp_path / "units_cache.json"
-    analyze_units([a, b, c], cache_path=cache)
-    import repro.analysis.units.cache as cache_mod
-    monkeypatch.setattr(cache_mod, "ENGINE_VERSION", "999.0.0")
-    report = analyze_units([a, b, c], cache_path=cache)
+    analyze([a, b, c], cache_path=cache)
+    import repro.analysis.dataflow as dataflow
+    monkeypatch.setattr(dataflow, "ENGINE_VERSION", "999.0.0")
+    report = analyze([a, b, c], cache_path=cache)
     assert report.reused == []
     assert len(report.analyzed) == 3
 
@@ -190,10 +189,10 @@ def test_damaged_cache_degrades_to_cold_run(tmp_path):
     a, b, c = _write_three_modules(tmp_path)
     cache = tmp_path / "units_cache.json"
     cache.write_text("{not json")
-    report = analyze_units([a, b, c], cache_path=cache)
+    report = analyze([a, b, c], cache_path=cache)
     assert len(report.analyzed) == 3
     # And the rewritten cache is usable.
-    assert analyze_units([a, b, c], cache_path=cache).analyzed == []
+    assert analyze([a, b, c], cache_path=cache).analyzed == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ The seed repo's throughput is frozen as the ``seed_baseline`` arm of
 only in BENCH_1–5); later records compare against their predecessors
 through ``tools/bench_compare.py``.
 
-A ``lint_warm`` arm (:func:`run_lint_warm_bench`) times the
-three-engine ``vablint`` run over ``src/repro`` served entirely from
-warm incremental caches (files/sec), so ``bench_compare`` can alert
-when the warm lint path gets more than 2x slower.
+A ``lint_warm`` arm (:func:`run_lint_warm_bench`) times the full
+``vablint --units`` run over ``src/repro`` with every engine served
+from a warm incremental cache (files/sec), so ``bench_compare`` can
+alert when the warm lint path gets more than 2x slower. It also records
+the median wall time of each lint stage, which shows what dominates a
+warm run: the per-file VAB001..VAB005 pass, which has no cache.
 
 A fifth pair of arms benchmarks the Van Atta array-factor kernel
 (``arrayfactor`` vs the ``arrayfactor_loop`` per-pair reference; see
@@ -58,6 +60,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis import ENGINE_VERSION as ANALYSIS_ENGINE_VERSION
 from repro.analysis import tree_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import probe_mode
@@ -101,21 +104,15 @@ def lint_gate(allow_dirty: bool) -> Optional[dict]:
     recording one from a tree that fails ``vablint`` (non-deterministic
     RNG use, unit mix-ups, wall-clock in the sim path) would bake
     unreproducible numbers into history. Returns the fingerprint record
-    to embed — stamped with the dimensional-analysis and shape-analysis
-    engine versions so each BENCH file pins which checkers vetted the
-    tree — or ``None`` when the tree is dirty and ``allow_dirty`` is
-    false (the caller must refuse to write).
+    to embed — stamped with the dataflow engines' version so each BENCH
+    file pins which checkers vetted the tree — or ``None`` when the tree
+    is dirty and ``allow_dirty`` is false (the caller must refuse to
+    write).
     """
-    from repro.analysis.effects import ENGINE_VERSION as EFFECTS_ENGINE_VERSION
-    from repro.analysis.shapes import ENGINE_VERSION as SHAPES_ENGINE_VERSION
-    from repro.analysis.units import ENGINE_VERSION
-
     record = tree_fingerprint([REPO_ROOT / "src" / "repro"])
     if not record["clean"] and not allow_dirty:
         return None
-    record["units_engine_version"] = ENGINE_VERSION
-    record["shapes_engine_version"] = SHAPES_ENGINE_VERSION
-    record["effects_engine_version"] = EFFECTS_ENGINE_VERSION
+    record["analysis_engine_version"] = ANALYSIS_ENGINE_VERSION
     return record
 
 
@@ -210,14 +207,15 @@ def run_lint_warm_bench(
 ) -> dict:
     """The ``lint_warm`` arm: warm-cache full-tree three-engine lint.
 
-    Primes the units/shapes/effects incremental caches in a throwaway
-    directory, then times ``repeats`` fully-warm runs over ``target``
-    (default ``src/repro``). One "trial" is one file served per run, so
+    Primes the engines' incremental cache in a throwaway directory,
+    then times ``repeats`` fully-warm runs over ``target`` (default
+    ``src/repro``). One "trial" is one file served per run, so
     ``trials_per_sec`` is files/sec and comparable across record
     generations. This guards the warm path itself: a cache-key or
     dependent-closure bug that forces spurious re-analysis shows up
     here as a throughput collapse long before anyone notices CI
-    slowing down.
+    slowing down. ``stage_s`` holds the median seconds per lint stage
+    (``LintReport.timings``: ``rules``, ``parse`` and one per engine).
     """
     import tempfile
 
@@ -229,11 +227,17 @@ def run_lint_warm_bench(
         cache = Path(tmp) / ".vablint_units_cache.json"
         lint_paths([target], units=True, units_cache=cache)  # prime
         t0 = time.perf_counter()
+        timings = []
         for _ in range(repeats):
             report = lint_paths([target], units=True, units_cache=cache)
+            timings.append(report.timings)
         arm = _arm(time.perf_counter() - t0, report.files * repeats)
     arm["files"] = report.files
     arm["repeats"] = repeats
+    arm["stage_s"] = {
+        stage: round(float(np.median([t[stage] for t in timings])), 6)
+        for stage in sorted(report.timings)
+    }
     reused = sum(
         stats["reused"]
         for stats in (report.units_stats, report.shapes_stats,

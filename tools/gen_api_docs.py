@@ -140,9 +140,9 @@ deterministic regardless of job count).
 
 VAB006..VAB010 come from `repro.analysis.units`: a flow-sensitive,
 interprocedural abstract interpretation that tracks a unit lattice
-through assignments, arithmetic, and calls, with a two-pass fixed
-point so callee summaries (parameter/return units) flow to call sites
-across files. Unit facts are seeded from three sources, in priority
+through assignments, arithmetic, and calls, with a fixed point so
+callee summaries (parameter/return units) flow to call sites across
+files. Unit facts are seeded from three sources, in priority
 order:
 
 1. **Annotations** — the vocabulary in `repro.analysis.units.vocab`
@@ -207,10 +207,9 @@ missing-`keepdims` slip, `records - records.mean(axis=1)`, which pits
 `"samples"` against `"trials"` in one broadcast slot (VAB011); the
 same machinery flags silent phase loss on the complex field sums
 (VAB013) and in-place writes to channel-cache storage (VAB014). The
-engine shares the incremental cache format (sibling
-`.vablint_shapes_cache.json` derived from `--units-cache`), the
-baseline, the suppression syntax, and the JSON report (a `shapes`
-stats block next to `units`).
+engine shares the driver and its cache file, the baseline, the
+suppression syntax, and the JSON report (a `shapes` stats block next
+to `units`).
 
 ### Effect/purity analysis (also `--units`)
 
@@ -271,20 +270,24 @@ paths (`repro.sim.cache`, `repro.sim.parallel`, `repro.obs.ledger`,
 `repro.rng`) carry explicit contracts; the committed tree is
 effect-clean with zero suppressions.
 
-**Incremental cache** — `--units-cache PATH` (tool default
-`.vablint_units_cache.json`, git-ignored) keys per-file results by
-content sha256 + engine version; the shapes and effects engines keep
-sibling caches at the derived `.vablint_shapes_cache.json` /
-`.vablint_effects_cache.json` paths. An edit re-analyzes only the
-file and its call-graph dependents; everything else is replayed
-byte-identically from cache. `--no-units-cache` forces a cold run
+**One driver, one cache** — the three engines are plugins of
+`repro.analysis.dataflow`: it reads, parses and suppression-scans each
+file once, runs each engine's fixed point over the same modules, and
+stores all three engines' per-file results in one cache file,
+`--units-cache PATH` (tool default `.vablint_units_cache.json`,
+git-ignored), keyed by content sha256 + the one
+`repro.analysis.ENGINE_VERSION`. An edit re-analyzes only the file and
+its call-graph dependents (including the callers of a function that
+appeared, disappeared or left the run with its file); everything else
+is replayed byte-identically from cache. `--no-units-cache` forces a cold run
 (what CI does); version bumps and damaged caches degrade to cold runs
 automatically. For an even faster inner loop, `--changed [REF]`
 restricts the per-file rules to files that differ from a git ref
 (default `HEAD`) plus untracked files — the dataflow engines still
 see the whole tree (so a contract edit surfaces findings in unchanged
 dependents) but force the changed files and their dependents through
-re-analysis. `--stats` appends per-engine wall-clock timings and
+re-analysis. `--stats` appends per-stage wall-clock timings (`rules`,
+the engines' shared `parse` front-end, one per engine) and
 cache hit/miss counts to the report (embedded under `"stats"` in JSON
 mode; opt-in so the default report stays byte-deterministic), and
 `--sarif PATH` additionally writes a SARIF 2.1.0 log for GitHub code
@@ -345,15 +348,15 @@ rule ids and the clean/dirty verdict. Campaign manifests record it via
 `python -m repro sweep --manifest run.json --lint-fingerprint`), and
 `tools/bench_perf.py` refuses to write a `BENCH_<n>.json` from a tree
 that does not lint clean (`--allow-dirty-lint` overrides); the lint
-record in each BENCH file carries `units_engine_version`,
-`shapes_engine_version`, and `effects_engine_version` so perf history
-pins which checkers vetted the tree (campaign manifests stamp the
-same versions under `engine_versions` — completeness enforced by
-VAB021). Each BENCH record also carries a `lint_warm` arm: the
-three-engine lint over `src/repro` served entirely from warm
-incremental caches, in files/sec; `tools/bench_compare.py` alerts
-when it gets more than 2x slower (the signature of a cache-key or
-dependent-closure bug). CI runs the full gate — per-file rules plus
+record in each BENCH file carries `analysis_engine_version` so perf
+history pins which checkers vetted the tree (campaign manifests stamp
+the same version under `engine_versions["analysis"]` — completeness
+enforced by VAB021). Each BENCH record also carries a `lint_warm` arm:
+the full `--units` lint over `src/repro` with the engines served
+entirely from a warm incremental cache, in files/sec, plus the median
+seconds of each lint stage (`stage_s`); `tools/bench_compare.py`
+alerts when it gets more than 2x slower (the signature of a cache-key
+or dependent-closure bug). CI runs the full gate — per-file rules plus
 `--units`, differenced against the committed `lint_baseline.json` —
 before the typed-API check, renders the JSON report as inline GitHub
 problem-matcher annotations (`tools/lint_annotations.py`), uploads

@@ -12,8 +12,11 @@ reductions, complex->real downcasts, shared-array mutation, unordered
 accumulation, shape-contract violations) and effect/purity analysis
 (``VAB017``..``VAB022``: hidden cache inputs, cache-hit divergence,
 worker RNG indiscipline, unpicklable submissions, version-stamp
-completeness, host-dependent results). See ``repro.analysis`` for the
-framework and ``--catalogue`` for the rules.
+completeness, host-dependent results). The three engines run as
+plugins of one driver (``repro.analysis.dataflow``) that parses each
+file once and keeps one incremental cache file
+(``--units-cache``, default ``.vablint_units_cache.json``). See
+``repro.analysis`` for the framework and ``--catalogue`` for the rules.
 
 Usage::
 
