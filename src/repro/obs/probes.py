@@ -26,8 +26,8 @@ cheap reduction per *batch* (not per trial) on the hot path — a single
 sweep — and records violations in the active metrics registry
 (``repro.obs.probes.violations`` plus a per-probe counter). ``raise``
 mode additionally hard-fails with a :class:`ProbeViolation` naming the
-probe and the attributed stage. Overhead on the batched engine is
-gated below 2% by ``tools/bench_compare.py`` (BENCH_3 → BENCH_4).
+probe and the attributed stage. The repository benchmark reports the
+checks made per trial (``obs.probes.checks_per_trial``).
 
 Mode comes from ``VAB_PROBES`` (``off`` / ``count`` / ``raise``,
 default ``count``) or :func:`set_probe_mode` / the :func:`probes`

@@ -64,8 +64,9 @@ from repro.phy.receiver import (
 )
 
 BATCHED_ENGINE_VERSION = 2
-"""Version stamp of the batched kernel, recorded in BENCH_* files so a
-benchmark result pins the exact batched-path generation it measured.
+"""Version stamp of the batched kernel, recorded in run manifests
+(``engine_versions``) so a result pins the batched-path generation that
+produced it.
 2: one shaped noise draw per trial (a new noise stream)."""
 
 BATCHES_COUNTER = counter(

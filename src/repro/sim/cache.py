@@ -38,9 +38,9 @@ _RESPONSE_CACHE_MAX = 256
 _HITS = 0
 _MISSES = 0
 
-# Mirrored into the active metrics registry so campaign manifests and
-# BENCH_*.json surface cache behavior (the module counters below feed
-# the process-wide channel_cache_info view).
+# Mirrored into the active metrics registry so campaign manifests
+# surface cache behavior (the module counters below feed the
+# process-wide channel_cache_info view).
 HITS_COUNTER = counter(
     "repro.sim.cache.hits", "channel-response cache hits"
 )

@@ -35,7 +35,6 @@ from repro.dsp.noisegen import (
 from repro.obs.probes import probe_signal, probe_unit_interval
 from repro.obs.spans import span
 from repro.phy.batch import BatchedReaderReceiver, batch_supported
-from repro.phy.ber import ber as ber_of
 from repro.phy.bits import bits_from_bytes
 from repro.phy.frame import (
     FrameConfig,
@@ -63,8 +62,9 @@ class TrialResult:
     Attributes:
         detected: the preamble search succeeded.
         frame_ok: a frame parsed and passed CRC.
-        ber: payload bit error rate (undetected frames score 0.5 — the
-            receiver knows nothing, equivalent to guessing).
+        ber: payload bit error rate; bits the receiver did not deliver
+            score 0.5 each, equivalent to guessing (so an undetected
+            frame scores 0.5).
         snr_db: receiver eye-SNR estimate (-inf when undetected).
         range_m: reader-node slant range of the trial.
         incidence_deg: reader direction off the node broadside.
@@ -326,7 +326,13 @@ def _score(
     scenario: Scenario,
     theta: float,
 ) -> TrialResult:
-    """Turn a demod result into a scored trial."""
+    """Turn a demod result into a scored trial.
+
+    Bits the receiver delivered are compared with the bits sent; bits it
+    did not deliver (no frame, or a payload cut short by a corrupted
+    length field) score 0.5 each, a guess: the receiver knows no more
+    about them than about an undetected frame, which scores 0.5.
+    """
     if result.detection is None:
         return TrialResult(
             detected=False,
@@ -341,14 +347,17 @@ def _score(
         received_bits = np.zeros(0, dtype=np.int64)
     else:
         received_bits = bits_from_bytes(result.frame.payload)
-    trial_ber = ber_of(sent_bits, received_bits) if len(sent_bits) else 0.0
+    n_sent = len(sent_bits)
+    overlap = min(n_sent, len(received_bits))
+    mismatches = int(np.count_nonzero(sent_bits[:overlap] != received_bits[:overlap]))
+    trial_ber = (mismatches + 0.5 * (n_sent - overlap)) / n_sent if n_sent else 0.0
     probe_unit_interval("sim.engine.ber", trial_ber, stage="demod")
     return TrialResult(
         detected=True,
         frame_ok=bool(result.frame is not None and result.frame.crc_ok),
-        ber=min(trial_ber, 1.0),
+        ber=trial_ber,
         snr_db=result.snr_db,
         range_m=scenario.range_m,
         incidence_deg=theta,
-        payload_bits=len(sent_bits),
+        payload_bits=n_sent,
     )

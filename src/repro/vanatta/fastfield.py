@@ -32,8 +32,8 @@ same kernel, so benchmarks compare physics, not implementations.
 (the ``phy.batch`` pattern): the per-pair loop survives only as
 :func:`reference_response` / :func:`reference_planar_response`, the
 parity baselines held to ``<= 1e-9`` complex error by
-``tests/test_vanatta_fastfield.py`` and benchmarked by the
-``arrayfactor`` arm of ``tools/bench_perf.py``.
+``tests/test_vanatta_fastfield.py`` and timed against the kernel by
+``benchmarks/bench_e21_massive_arrays.py`` (which asserts >= 50x).
 
 For dense uniform sweeps over ``u = sin(theta)`` the engine also offers
 a Bluestein chirp-Z path (:meth:`ArrayFactorEngine.bistatic_cut_czt`)
@@ -75,9 +75,8 @@ if TYPE_CHECKING:  # planar imports fastfield; break the cycle at runtime
     from repro.vanatta.planar import PlanarVanAttaArray
 
 FASTFIELD_ENGINE_VERSION = 1
-"""Version stamp of the batched array-factor kernel; recorded in BENCH
-records and run manifests so results pin the kernel generation that
-produced them (the ``batched_engine_version`` pattern from the PHY)."""
+"""Version stamp of the batched array-factor kernel; recorded in run
+manifests so results pin the kernel generation that produced them (the ``batched_engine_version`` pattern from the PHY)."""
 
 EVALS_COUNTER = counter(
     "repro.vanatta.fastfield.evals",

@@ -10,14 +10,17 @@ as ``float.hex``).
 
 The goldens in ``tests/goldens/trial_results.json`` pin the v2 noise
 stream (one shaped Gaussian draw per trial, carrying the ambient noise
-times the noise figure and the residual-SI floor). They were generated
-on top of commit dfa34d7 by::
+times the noise figure and the residual-SI floor) and the BER scoring
+that charges each bit the receiver did not deliver 0.5 (a guess). They
+were generated on top of commit 8b607da by::
 
-    PYTHONPATH=src python tests/test_sim_batched_parity.py --write dfa34d7+noise-v2
+    PYTHONPATH=src python tests/test_sim_batched_parity.py --write 8b607da+score-v2
 
-(the file's ``generated`` block repeats the label and command). The v1
-goldens they replace came from the two-engine simulator at d291b99.
-Regenerate only for a deliberate change of the results.
+(the file's ``generated`` block repeats the label and command). Against
+the ``dfa34d7+noise-v2`` goldens before them, only the BER of three
+detected frames whose payload came back empty moved, from 1.0 to 0.5
+(``e16/plain`` trials 3 and 5, ``e16/dfe-timing`` trial 2). Regenerate
+only for a deliberate change of the results.
 """
 
 import dataclasses

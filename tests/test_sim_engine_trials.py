@@ -12,7 +12,11 @@ import pytest
 from repro.baselines.conventional_array import ConventionalNode
 from repro.baselines.pab import pab_node
 from repro.core import Scenario
-from repro.sim.engine import TrialResult, simulate_trial
+from repro.phy.bits import bits_from_bytes
+from repro.phy.frame import ParsedFrame
+from repro.phy.preamble import PreambleDetection
+from repro.phy.receiver import DemodResult
+from repro.sim.engine import TrialResult, _score, simulate_trial
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign, run_campaign
@@ -105,6 +109,36 @@ class TestSimulateTrial:
         sc = Scenario(name="multipath-check")
         result = simulate_trial(sc, rng=np.random.default_rng(10))
         assert result.detected
+
+
+class TestScore:
+    """Bits the receiver did not deliver score 0.5 each, like a guess."""
+
+    SENT = b"\xa5\x0f\x3c\x99\x00\xff\x12\x34"  # 64 bits
+
+    def score(self, frame):
+        detection = PreambleDetection(0, 0.9, 8.0, 1.0 + 0j)
+        demod = DemodResult(frame=frame, detection=detection,
+                            chip_soft=np.zeros(0), snr_db=10.0,
+                            success=False)
+        return _score(demod, bits_from_bytes(self.SENT),
+                      Scenario.river(range_m=250.0), 60.0)
+
+    def test_detected_frame_that_did_not_parse_is_a_guess(self):
+        result = self.score(None)
+        assert result.detected and not result.frame_ok
+        assert result.ber == 0.5
+        assert result.payload_bits == 64
+
+    def test_empty_payload_is_a_guess(self):
+        result = self.score(ParsedFrame(node_id=1, payload=b"", crc_ok=False))
+        assert result.ber == 0.5
+
+    def test_truncated_payload_scores_delivered_bits_and_guesses_the_rest(self):
+        # first two bytes delivered, one bit of them wrong; 48 bits missing
+        delivered = bytes([self.SENT[0] ^ 0x01, self.SENT[1]])
+        result = self.score(ParsedFrame(1, delivered, crc_ok=False))
+        assert result.ber == (1 + 0.5 * 48) / 64
 
 
 class TestCampaigns:

@@ -1,13 +1,10 @@
-"""Parallel campaign engine: determinism, caching, and the perf smoke.
+"""Parallel campaign engine: determinism and caching.
 
 The contract under test is strong: the process-pool runner must be
 *bit-identical* to the serial loop — same seeds, same float reduction
 order — and the memoization layers must be pure speed, invisible in the
 numbers they return.
 """
-
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign, run_campaign
 from repro.vanatta.node import VanAttaNode
 
-ROOT = Path(__file__).resolve().parent.parent
 
 RANGES = [50.0, 330.0]
 
@@ -230,53 +226,3 @@ class TestNoiseShapingCache:
         noisegen.colored_noise(2048, 192_000.0, NoiseConditions().psd_db, 18_500.0, rng)
         entries_after_second, _ = noisegen.noise_cache_info()
         assert entries_after_first == entries_after_second == 1
-
-
-@pytest.mark.bench_smoke
-class TestBenchSmoke:
-    def load_bench(self):
-        spec = importlib.util.spec_from_file_location(
-            "bench_perf", ROOT / "tools" / "bench_perf.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_tiny_campaign_runs_and_reports_timings(self):
-        bench = self.load_bench()
-        record = bench.run_bench(
-            trials_per_point=2, ranges_m=[50.0], workers=2, seed=2023,
-            arrayfactor_elements=16, arrayfactor_angles=9,
-        )
-        assert record["bench"] == "BENCH_1"
-        assert record["parallel_bit_identical"] is True
-        assert "batched_bit_identical" not in record
-        assert record["batched_engine_version"] >= 1
-        assert record["fastfield_engine_version"] >= 1
-        for arm in ("optimized_serial", "optimized_parallel"):
-            assert record[arm]["trials"] == 2
-            assert record[arm]["trials_per_sec"] > 0
-        assert record["optimized_parallel"]["workers"] == 2
-        assert record["arrayfactor_parity"] is True
-        for arm in ("arrayfactor", "arrayfactor_loop"):
-            assert record[arm]["elements"] == 16
-            assert record[arm]["angles"] == 9
-            assert record[arm]["trials_per_sec"] > 0
-        assert set(record["speedup"]) == {"arrayfactor_over_loop"}
-        assert "seed_baseline" not in record
-        assert "serial_fallback" not in record
-        for stage in ("batch", "channel", "reflect", "noise", "demod"):
-            assert record["stage_timings"][stage]["count"] >= 1
-        for stage in ("batch", "channel", "reflect", "noise", "demod"):
-            assert record["stage_timings"][stage]["count"] >= 1
-
-    def test_lint_warm_arm_times_a_fully_warm_three_engine_run(self):
-        bench = self.load_bench()
-        target = ROOT / "src" / "repro" / "analysis" / "effects"
-        arm = bench.run_lint_warm_bench(target=target, repeats=2)
-        assert arm["files"] >= 4
-        assert arm["repeats"] == 2
-        assert arm["trials"] == arm["files"] * 2
-        assert arm["trials_per_sec"] > 0
-        # Every file must be served by every engine from the warm cache.
-        assert arm["cache_hits_per_run"] == 3 * arm["files"]

@@ -46,17 +46,10 @@ Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
 
 Per-stage wall-clock (channel / reflect / noise / demod) is available
-via the `tracer=` argument and `SpanTracer.leaf_totals()`. The perf
-harness `tools/bench_perf.py` times the serial and parallel runners
-and writes the next `BENCH_<n>.json` (arms `optimized_serial` /
-`optimized_parallel`, each with `elapsed_s`, `trials`,
-`trials_per_sec`, plus `speedup`, `stage_timings`, the run's `metrics`
-snapshot with a `cache` hit/miss summary, and a
-`parallel_bit_identical` flag); `tools/bench_compare.py` diffs
-consecutive records and exits non-zero when an optimized arm's
-trials/sec regressed by more than 20%. A tiny-N smoke of the same
-harness runs in the test suite under the `bench_smoke` marker
-(`pytest -m bench_smoke`).
+via the `tracer=` argument and `SpanTracer.leaf_totals()`. Performance
+is measured by the repository benchmark (`BENCHMARK.json`,
+`perfbench/run.py`); `tools/perf_ab.py BASE_REF --workload NAME` runs it
+in ten interleaved same-host pairs and exits 1 on a regression.
 
 ## Observability
 
@@ -346,17 +339,11 @@ up automatically; add a bad/clean fixture pair under
 rule ids and the clean/dirty verdict. Campaign manifests record it via
 `run_observed_campaign(..., lint_fingerprint=True)` (CLI:
 `python -m repro sweep --manifest run.json --lint-fingerprint`), and
-`tools/bench_perf.py` refuses to write a `BENCH_<n>.json` from a tree
-that does not lint clean (`--allow-dirty-lint` overrides); the lint
-record in each BENCH file carries `analysis_engine_version` so perf
-history pins which checkers vetted the tree (campaign manifests stamp
-the same version under `engine_versions["analysis"]` — completeness
-enforced by VAB021). Each BENCH record also carries a `lint_warm` arm:
-the full `--units` lint over `src/repro` with the engines served
-entirely from a warm incremental cache, in files/sec, plus the median
-seconds of each lint stage (`stage_s`); `tools/bench_compare.py`
-alerts when it gets more than 2x slower (the signature of a cache-key
-or dependent-closure bug). CI runs the full gate — per-file rules plus
+stamp the analysis engine version under `engine_versions["analysis"]`
+(completeness enforced by VAB021), so a result pins which checkers
+vetted the tree. The repository benchmark's traced `river_e3` run times
+cold and warm lint passes (`analysis.*` per-layer metrics). CI runs the
+full gate — per-file rules plus
 `--units`, differenced against the committed `lint_baseline.json` —
 before the typed-API check, renders the JSON report as inline GitHub
 problem-matcher annotations (`tools/lint_annotations.py`), uploads

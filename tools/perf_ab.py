@@ -19,10 +19,14 @@ length for quick looks; its summary is then labelled off-contract.
 
 For every metric it prints the median, min and max of the paired ratio
 ``head / base`` and in how many pairs the head was better (per the
-metric's ``better`` direction in ``BENCHMARK.json``). Run records go to
-the usual ``perfbench/out/``; nothing under ``perfbench/`` is changed.
-Exit codes: 0 = every run succeeded, 1 = a run failed or reported
-failed operations, 2 = bad arguments or an unknown ref.
+metric's ``better`` direction in ``BENCHMARK.json``). For each
+end-to-end metric it then prints both sides' quartiles and one
+:func:`verdict` against the metric's ``bound``; per-layer metrics have no
+bound and stay ratio-only. Run records go to the usual
+``perfbench/out/``; nothing under ``perfbench/`` is changed. Exit codes:
+0 = every run succeeded and no metric regressed, 1 = a run failed,
+reported failed operations, or a metric reads ``regression``, 2 = bad
+arguments or an unknown ref.
 """
 
 from __future__ import annotations
@@ -86,16 +90,78 @@ def run_pairs(runner: Runner, base_root: Path, head_root: Path, pairs: int,
     return out
 
 
-def paired_ratios(results: List[Tuple[Result, Result]]) -> Dict[str, List[float]]:
-    """Per metric, ``head / base`` for every pair where both are nonzero."""
-    ratios: Dict[str, List[float]] = {}
+def paired_values(results: List[Tuple[Result, Result]]
+                  ) -> Dict[str, List[Tuple[float, float]]]:
+    """Per metric, the raw ``(base, head)`` values of every pair reporting both."""
+    values: Dict[str, List[Tuple[float, float]]] = {}
     for base, head in results:
         for name, b in base["metrics"].items():
             h = head["metrics"].get(name)
-            if h is None or not b:
-                continue
-            ratios.setdefault(name, []).append(h / b)
-    return ratios
+            if b is not None and h is not None:
+                values.setdefault(name, []).append((b, h))
+    return values
+
+
+def paired_ratios(results: List[Tuple[Result, Result]]) -> Dict[str, List[float]]:
+    """Per metric, ``head / base`` for every pair where both are nonzero."""
+    ratios = {name: [h / b for b, h in pairs if b]
+              for name, pairs in paired_values(results).items()}
+    return {name: r for name, r in ratios.items() if r}
+
+
+def quartiles(values: List[float]) -> Tuple[float, ...]:
+    """``(q1, median, q3)``, interpolated linearly as numpy's default does."""
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def verdict(pairs: List[Tuple[float, float]], better: str, bound: float
+            ) -> dict:
+    """Judge one end-to-end metric from its raw ``(base, head)`` pairs.
+
+    In order: ``gain`` when the head is better in at least 9 of 10 pairs
+    (ties count for neither side) and the medians differ by more than
+    the base runs' interquartile range; ``regression`` when the head
+    median is worse than the base median by more than ``bound`` of it;
+    ``unresolved`` when the base IQR is wider than ``bound`` of the base
+    median, unless every head run beats every base run; else
+    ``no regression``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base, head = [b for b, _ in pairs], [h for _, h in pairs]
+    b_q1, b_med, b_q3 = quartiles(base)
+    wins = sum(sign * (h - b) > 0 for b, h in pairs)
+    gained = sign * (statistics.median(head) - b_med)
+    if 10 * wins >= 9 * len(pairs) and gained > b_q3 - b_q1:
+        result = "gain"
+    elif -gained > bound * abs(b_med):
+        result = "regression"
+    elif (b_q3 - b_q1 > bound * abs(b_med)
+          and min(sign * h for h in head) <= max(sign * b for b in base)):
+        result = "unresolved"
+    else:
+        result = "no regression"
+    return {"base": quartiles(base), "head": quartiles(head),
+            "head_better": wins, "pairs": len(pairs), "verdict": result}
+
+
+def verdicts(results: List[Tuple[Result, Result]], spec: dict
+             ) -> List[dict]:
+    """One :func:`verdict` row per end-to-end metric of ``spec``."""
+    values = paired_values(results)
+    return [{"metric": m["name"], "better": m["better"], "bound": m["bound"],
+             **verdict(values[m["name"]], m["better"], m["bound"])}
+            for m in spec["end_to_end"] if values.get(m["name"])]
+
+
+def render_verdicts(rows: List[dict]) -> str:
+    lines = [f"{'metric':20s} {'better':6s} bound  {'base q1/median/q3':>20s}  "
+             f"{'head q1/median/q3':>20s}  head better  verdict"]
+    for r in rows:
+        base, head = ("/".join(f"{v:.4g}" for v in r[k]) for k in ("base", "head"))
+        lines.append(f"{r['metric']:20s} {r['better']:6s} {r['bound']:5.2f}  "
+                     f"{base:>20s}  {head:>20s}  {r['head_better']:>5d}/"
+                     f"{r['pairs']:<5d}  {r['verdict']}")
+    return "\n".join(lines)
 
 
 def summarize(ratios: Dict[str, List[float]], better: Dict[str, str]
@@ -147,8 +213,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "default: BENCHMARK.json run_seconds")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 2:  # the verdicts need quartiles
+        parser.error("--pairs must be at least 2")
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     contract_seconds = float(spec["run_seconds"])
     seconds = contract_seconds if args.seconds is None else args.seconds
@@ -176,9 +242,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"{args.workload}: head/base over {args.pairs} interleaved pairs "
           f"({seconds:g} s each{label}, base {args.base_ref})")
     print(render(rows))
+    judged = verdicts(results, spec)
+    print("\n" + render_verdicts(judged))
     failed = sum(int(r["failed"]) for pair in results for r in pair)
     print(f"failed operations: {failed}")
-    return 1 if failed else 0
+    regressed = any(r["verdict"] == "regression" for r in judged)
+    return 1 if failed or regressed else 0
 
 
 if __name__ == "__main__":
